@@ -4,9 +4,11 @@
 //! The sharded client-state store plus on-demand synthetic shards make
 //! a round's footprint O(cohort), not O(population): doubling the
 //! population at a halved sample ratio (equal cohort) must leave peak
-//! RSS essentially unchanged. This binary measures exactly that, and
-//! that spilling FedKEMF's client models to disk does not perturb the
-//! math (bit-identical history fingerprints at equal seeds).
+//! RSS essentially unchanged. This binary measures exactly that, that
+//! streaming the cohort in `cohort_batch` chunks at least halves peak
+//! RSS against holding the whole cohort, and that spilling FedKEMF's
+//! client models to disk does not perturb the math (bit-identical
+//! history fingerprints at equal seeds).
 //!
 //! Usage:
 //!   bench_population --smoke            # CI: small populations, asserts
@@ -213,6 +215,16 @@ fn main() {
         ("cohort_batch", "128".into()),
         ("name", format!("fedavg_{small}_pop")),
     ]);
+    // The same cohort as rec_big with the whole cohort resident at once:
+    // what cohort batching saves.
+    let rec_unbatched = run_scenario(&[
+        ("algo", "fedavg".into()),
+        ("clients", big.to_string()),
+        ("ratio", big_ratio.to_string()),
+        ("rounds", rounds.to_string()),
+        ("cohort_batch", "0".into()),
+        ("name", format!("fedavg_{big}_pop_unbatched")),
+    ]);
 
     // Sharded-vs-eager FedKEMF: same seeds, spilled client models.
     let kemf_common: Vec<(&str, String)> = vec![
@@ -231,6 +243,8 @@ fn main() {
     let rec_sharded = run_scenario(&sharded_flags);
 
     let ratio = rec_big.peak_rss_bytes as f64 / rec_small.peak_rss_bytes.max(1) as f64;
+    let batched_share = rec_big.peak_rss_bytes as f64 / rec_unbatched.peak_rss_bytes.max(1) as f64;
+    let batching_identical = rec_big.history_fingerprint == rec_unbatched.history_fingerprint;
     let identical = rec_eager.history_fingerprint == rec_sharded.history_fingerprint;
     println!(
         "  fedavg {}-client pop: peak RSS {:.1} MB, {:.2} rounds/s",
@@ -245,15 +259,27 @@ fn main() {
         rec_small.rounds_per_sec
     );
     println!("  RSS(2x population) / RSS(1x) = {ratio:.3}  (O(cohort) memory wants ~1)");
+    println!(
+        "  fedavg {}-client cohort unbatched: peak RSS {:.1} MB; batched / unbatched = \
+         {batched_share:.3}, same history: {batching_identical}",
+        rec_unbatched.cohort,
+        rec_unbatched.peak_rss_bytes as f64 / 1e6
+    );
     println!("  fedkemf sharded == eager: {identical}");
 
-    emit(&[rec_big, rec_small, rec_eager, rec_sharded]);
+    emit(&[rec_big, rec_small, rec_unbatched, rec_eager, rec_sharded]);
 
     if smoke {
         assert!(
             ratio < 1.5,
             "peak RSS grew with population at fixed cohort: {ratio:.3}x — memory is not O(cohort)"
         );
+        assert!(
+            batched_share <= 0.5,
+            "cohort_batch 128 peaked at {batched_share:.3}x the unbatched RSS — the \
+             synchronous round is holding the whole cohort's client states"
+        );
+        assert!(batching_identical, "cohort batching changed the FedAvg history");
         assert!(identical, "sharded FedKEMF diverged from eager at equal seeds");
         println!("smoke assertions passed");
     }

@@ -119,7 +119,6 @@ impl ExperimentSpec {
             alpha: self.alpha,
             min_per_client: (self.samples_per_client / 5).max(4),
             eval_batch: 64,
-            dropout_prob: 0.0,
             faults: FaultConfig::default(),
             cohort_batch: None,
             seed: self.seed,
@@ -264,7 +263,7 @@ pub fn run_experiment(kind: AlgoKind, spec: &ExperimentSpec) -> History {
 pub fn run_experiment_recorded(kind: AlgoKind, spec: &ExperimentSpec) -> History {
     let (ctx, task) = spec.build_ctx();
     let mut algo = kind.build(spec, &ctx, &task);
-    let faults = ctx.cfg.fault_plan();
+    let faults = ctx.cfg.faults;
     Engine::run(
         algo.as_mut(),
         &ctx,

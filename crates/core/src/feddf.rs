@@ -10,13 +10,13 @@ use crate::distill::{distill_ensemble, DistillConfig};
 use crate::fusion::weight_average_fusion_weighted;
 use kemf_fl::config::ConfigError;
 use kemf_fl::context::FlContext;
-use kemf_fl::engine::{EngineError, FedAlgorithm, RoundOutcome};
+use kemf_fl::engine::{train_cohort_in_batches, EngineError, FedAlgorithm, RoundOutcome};
 use kemf_fl::lifecycle::{ClientPlan, ModelView, WirePayload};
 use kemf_fl::local::LocalCfg;
 use kemf_fl::scheduler::{PreparedUpdate, UpdatePayload};
 use kemf_fl::state::{check_model_layout, AlgorithmState, RestoreError};
 use kemf_fl::trace::{Phase, RoundScope};
-use kemf_fl::weight_common::{fan_out_clients, mean_loss, train_cohort_states, GlobalModel};
+use kemf_fl::weight_common::{fan_out_clients, GlobalModel};
 use kemf_nn::model::Model;
 use kemf_nn::models::ModelSpec;
 use kemf_nn::serialize::ModelState;
@@ -52,64 +52,6 @@ impl FedAlgorithm for FedDf {
         )
     }
 
-    fn round(
-        &mut self,
-        round: usize,
-        sampled: &[usize],
-        ctx: &FlContext,
-        scope: &mut RoundScope<'_>,
-    ) -> Result<RoundOutcome, EngineError> {
-        if sampled.is_empty() {
-            return Ok(RoundOutcome { train_loss: f32::NAN });
-        }
-        let local = LocalCfg {
-            epochs: ctx.cfg.local_epochs,
-            batch: ctx.cfg.batch_size,
-            sgd: ctx.cfg.sgd_at(round),
-        };
-        // Single fan-out, no cohort streaming: FedDF's fusion distills the
-        // *full-model* ensemble, so every teacher state must be resident
-        // anyway — chunking the local update would not bound memory.
-        let results = scope.phase(Phase::LocalUpdate, |c| {
-            let results = fan_out_clients(
-                &self.global.state,
-                self.global.spec,
-                round,
-                sampled,
-                ctx,
-                &local,
-                &|_k| None,
-            );
-            c.clients = results.len();
-            c.steps = results.iter().map(|r| r.outcome.steps as u64).sum();
-            c.batches = c.steps;
-            results
-        });
-        // Student initialized at the weighted average (FedDF's recipe for
-        // homogeneous clients), then refined by ensemble distillation.
-        scope.phase(Phase::Fusion, |c| {
-            c.clients = results.len();
-            let states: Vec<ModelState> = results.iter().map(|r| r.state.clone()).collect();
-            let coeffs: Vec<f32> = results.iter().map(|r| r.n_samples as f32).collect();
-            let mut student = Model::new(self.global.spec);
-            student.set_state(&ModelState::weighted_average(&states, &coeffs));
-            let mut teachers: Vec<Model> = states
-                .iter()
-                .map(|s| {
-                    let mut t = Model::new(self.global.spec);
-                    t.set_state(s);
-                    t
-                })
-                .collect();
-            let seed = child_seed(ctx.cfg.seed, 0xDF ^ round as u64);
-            let out = distill_ensemble(&mut student, &mut teachers, &self.pool, &self.distill, seed);
-            c.steps = out.steps as u64;
-            c.batches = out.batches as u64;
-            self.global.state = student.state();
-        });
-        Ok(RoundOutcome { train_loss: mean_loss(&results) })
-    }
-
     fn train_cohort(
         &mut self,
         wave: usize,
@@ -117,12 +59,10 @@ impl FedAlgorithm for FedDf {
         ctx: &FlContext,
         scope: &mut RoundScope<'_>,
     ) -> Result<Vec<PreparedUpdate>, EngineError> {
-        let local = LocalCfg {
-            epochs: ctx.cfg.local_epochs,
-            batch: ctx.cfg.batch_size,
-            sgd: ctx.cfg.sgd_at(wave),
-        };
-        Ok(train_cohort_states(&self.global, wave, sampled, ctx, &local, &|_k| None, scope))
+        let local = LocalCfg::at(ctx, wave);
+        train_cohort_in_batches(self, sampled, ctx, scope, |algo, batch| {
+            Ok(fan_out_clients(&algo.global, wave, batch, ctx, &local, &|_k| None))
+        })
     }
 
     fn fuse(

@@ -26,7 +26,7 @@ use crate::fedkemf::{fresh_local_blob, model_from_blob};
 use kemf_fl::client_store::{ClientBlob, ClientStateStore, SpillConfig, StoreError};
 use kemf_fl::config::ConfigError;
 use kemf_fl::context::FlContext;
-use kemf_fl::engine::{EngineError, FedAlgorithm, RoundOutcome};
+use kemf_fl::engine::{train_cohort_in_batches, EngineError, FedAlgorithm, RoundOutcome};
 use kemf_fl::lifecycle::{ClientPlan, ModelView, WirePayload};
 use kemf_fl::local::{local_train, LocalCfg};
 use kemf_fl::scheduler::{PreparedUpdate, UpdatePayload};
@@ -327,20 +327,6 @@ impl FedAlgorithm for FedGems {
         ClientPlan::uniform(sampled, ModelView::Logits, WirePayload::symmetric(self.payload_bytes()))
     }
 
-    fn round(
-        &mut self,
-        round: usize,
-        sampled: &[usize],
-        ctx: &FlContext,
-        scope: &mut RoundScope<'_>,
-    ) -> Result<RoundOutcome, EngineError> {
-        let updates = self.train_cohort(round, sampled, ctx, scope)?;
-        if updates.is_empty() {
-            return Ok(RoundOutcome { train_loss: f32::NAN });
-        }
-        self.fuse(round, updates.into_iter().map(|u| (u, 1.0)).collect(), ctx, scope)
-    }
-
     fn train_cohort(
         &mut self,
         wave: usize,
@@ -349,14 +335,7 @@ impl FedAlgorithm for FedGems {
         scope: &mut RoundScope<'_>,
     ) -> Result<Vec<PreparedUpdate>, EngineError> {
         self.store.begin_round(wave);
-        if sampled.is_empty() {
-            return Ok(Vec::new());
-        }
-        let local = LocalCfg {
-            epochs: ctx.cfg.local_epochs,
-            batch: ctx.cfg.batch_size,
-            sgd: ctx.cfg.sgd_at(wave),
-        };
+        let local = LocalCfg::at(ctx, wave);
         // Broadcast: the server's current logits, softened for digestion.
         // A never-fused server is noise — clients skip digesting it.
         let broadcast = if self.server_trained {
@@ -364,64 +343,50 @@ impl FedAlgorithm for FedGems {
         } else {
             None
         };
-        let chunk = ctx.cfg.cohort_chunk(sampled.len());
-        let mut out = Vec::with_capacity(sampled.len());
-        scope.phase(Phase::LocalUpdate, |c| -> Result<(), EngineError> {
-            for batch in sampled.chunks(chunk) {
-                let mut locals: Vec<(usize, Model)> = Vec::with_capacity(batch.len());
-                for &k in batch {
-                    let spec = self.client_specs[k];
-                    let blob = self.store.fetch(k, |_| fresh_local_blob(spec))?;
-                    locals.push((k, model_from_blob(&blob, k, spec)?));
-                }
-                let cfg = self.cfg;
-                let public = &self.public;
-                let results: Vec<(usize, Model, Tensor, f32, usize)> = locals
-                    .into_par_iter()
-                    .map(|(k, mut model)| {
-                        let seed = child_seed(
-                            ctx.cfg.seed,
-                            0x4745_4D53 ^ ((wave as u64) << 16 | k as u64),
-                        );
-                        let digest_steps = if let Some(targets) = &broadcast {
-                            distill_toward(
-                                &mut model,
-                                public,
-                                targets,
-                                cfg.digest_epochs,
-                                cfg.temperature,
-                                SgdConfig { lr: cfg.distill_lr, ..local.sgd },
-                                seed,
-                            )
-                        } else {
-                            0
-                        };
-                        let shard = ctx.client_shard(k);
-                        let out = local_train(&mut model, &shard, &local, seed ^ 7, None);
-                        let logits = model.predict_batch_stats(public);
-                        (k, model, logits, out.mean_loss, digest_steps + out.steps)
-                    })
-                    .collect();
-                c.clients += results.len();
-                c.steps += results.iter().map(|r| r.4 as u64).sum::<u64>();
-                c.batches = c.steps;
-                for (k, model, logits, loss, steps) in results {
-                    out.push(PreparedUpdate {
+        train_cohort_in_batches(self, sampled, ctx, scope, |algo, batch| {
+            let mut locals: Vec<(usize, Model)> = Vec::with_capacity(batch.len());
+            for &k in batch {
+                let spec = algo.client_specs[k];
+                let blob = algo.store.fetch(k, |_| fresh_local_blob(spec))?;
+                locals.push((k, model_from_blob(&blob, k, spec)?));
+            }
+            let cfg = algo.cfg;
+            let public = &algo.public;
+            Ok(locals
+                .into_par_iter()
+                .map(|(k, mut model)| {
+                    let seed =
+                        child_seed(ctx.cfg.seed, 0x4745_4D53 ^ ((wave as u64) << 16 | k as u64));
+                    let digest_steps = if let Some(targets) = &broadcast {
+                        distill_toward(
+                            &mut model,
+                            public,
+                            targets,
+                            cfg.digest_epochs,
+                            cfg.temperature,
+                            SgdConfig { lr: cfg.distill_lr, ..local.sgd },
+                            seed,
+                        )
+                    } else {
+                        0
+                    };
+                    let shard = ctx.client_shard(k);
+                    let out = local_train(&mut model, &shard, &local, seed ^ 7, None);
+                    let logits = model.predict_batch_stats(public);
+                    PreparedUpdate {
                         client: k,
                         n_samples: ctx.client_shard_len(k),
-                        steps,
-                        loss,
+                        steps: digest_steps + out.steps,
+                        loss: out.mean_loss,
                         payload: UpdatePayload::Logits(TensorBlob {
                             dims: logits.dims().to_vec(),
                             values: logits.data().to_vec(),
                         }),
                         commit: Some(ClientBlob::new().with_model("model", model.state())),
-                    });
-                }
-            }
-            Ok(())
-        })?;
-        Ok(out)
+                    }
+                })
+                .collect())
+        })
     }
 
     fn fuse(

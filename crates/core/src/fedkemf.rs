@@ -12,11 +12,11 @@
 
 use crate::distill::{distill_ensemble, DistillConfig};
 use crate::dml::{dml_local_update, DmlConfig};
-use crate::fusion::{weight_average_fusion, weight_average_fusion_weighted, FusionMode};
+use crate::fusion::{weight_average_fusion_weighted, FusionMode};
 use kemf_fl::client_store::{ClientBlob, ClientStateStore, SpillConfig, StoreError};
 use kemf_fl::config::ConfigError;
 use kemf_fl::context::FlContext;
-use kemf_fl::engine::{EngineError, FedAlgorithm, RoundOutcome};
+use kemf_fl::engine::{train_cohort_in_batches, EngineError, FedAlgorithm, RoundOutcome};
 use kemf_fl::lifecycle::{ClientPlan, ModelView, WirePayload};
 use kemf_fl::local::{local_train, LocalCfg};
 use kemf_fl::scheduler::{PreparedUpdate, UpdatePayload};
@@ -243,127 +243,6 @@ impl FedAlgorithm for FedKemf {
         ClientPlan::uniform(sampled, ModelView::Full, WirePayload::symmetric(self.payload_bytes()))
     }
 
-    fn round(
-        &mut self,
-        round: usize,
-        sampled: &[usize],
-        ctx: &FlContext,
-        scope: &mut RoundScope<'_>,
-    ) -> Result<RoundOutcome, EngineError> {
-        self.store.begin_round(round);
-        if sampled.is_empty() {
-            return Ok(RoundOutcome { train_loss: f32::NAN });
-        }
-        let ramp = if self.cfg.kl_warmup_rounds == 0 {
-            1.0
-        } else {
-            ((round + 1) as f32 / self.cfg.kl_warmup_rounds as f32).min(1.0)
-        };
-        let dml_cfg = DmlConfig {
-            epochs: ctx.cfg.local_epochs,
-            batch: ctx.cfg.batch_size,
-            sgd: ctx.cfg.sgd_at(round),
-            kl_weight: self.cfg.kl_weight * ramp,
-            temperature: self.cfg.dml_temperature,
-            clip_norm: 5.0,
-        };
-        // Stream the cohort through local update in bounded batches;
-        // only the tiny uploaded knowledge networks stay resident for
-        // fusion, so memory is O(batch · local + cohort · knet).
-        let chunk = ctx.cfg.cohort_chunk(sampled.len());
-        let mut teachers: Vec<Model> = Vec::with_capacity(sampled.len());
-        let mut sample_counts: Vec<usize> = Vec::with_capacity(sampled.len());
-        let mut loss_sum = 0.0f32;
-        scope.phase(Phase::LocalUpdate, |c| -> Result<(), EngineError> {
-            for batch in sampled.chunks(chunk) {
-                // Sequential fetch (the store is `&mut self`): rebuild
-                // each sampled client's deployed model.
-                let mut locals: Vec<(usize, Model)> = Vec::with_capacity(batch.len());
-                for &k in batch {
-                    let spec = self.cfg.client_specs[k];
-                    let blob = self.store.fetch(k, |_| fresh_local_blob(spec))?;
-                    locals.push((k, model_from_blob(&blob, k, spec)?));
-                }
-                let global = &self.global_knowledge;
-                let knowledge_spec = self.cfg.knowledge_spec;
-                let mutual = self.cfg.mutual;
-                let results: Vec<(usize, Model, Model, f32, usize)> = locals
-                    .into_par_iter()
-                    .map(|(k, mut local)| {
-                        let mut knowledge = Model::new(knowledge_spec);
-                        knowledge.set_state(global);
-                        let seed =
-                            child_seed(ctx.cfg.seed, 0xD31 ^ ((round as u64) << 20 | k as u64));
-                        let shard = ctx.client_shard(k);
-                        let (loss, steps) = if mutual {
-                            let out =
-                                dml_local_update(&mut local, &mut knowledge, &shard, &dml_cfg, seed);
-                            (out.mean_knowledge_loss, out.steps)
-                        } else {
-                            // Ablation: decoupled training (no knowledge extraction).
-                            let plain = LocalCfg {
-                                epochs: dml_cfg.epochs,
-                                batch: dml_cfg.batch,
-                                sgd: dml_cfg.sgd,
-                            };
-                            let a = local_train(&mut local, &shard, &plain, seed, None);
-                            let out = local_train(&mut knowledge, &shard, &plain, seed ^ 1, None);
-                            (out.mean_loss, a.steps + out.steps)
-                        };
-                        (k, local, knowledge, loss, steps)
-                    })
-                    .collect();
-                c.clients += results.len();
-                c.steps += results.iter().map(|r| r.4 as u64).sum::<u64>();
-                c.batches = c.steps;
-                // Commit updated local models back to the store; collect
-                // uploaded knowledge networks in sampled order.
-                for (k, local, knowledge, loss, _steps) in results {
-                    self.store.commit(k, ClientBlob::new().with_model("model", local.state()))?;
-                    sample_counts.push(ctx.client_shard_len(k));
-                    teachers.push(knowledge);
-                    loss_sum += loss;
-                }
-            }
-            Ok(())
-        })?;
-        let train_loss = loss_sum / teachers.len().max(1) as f32;
-
-        // Server fusion.
-        scope.phase(Phase::Fusion, |c| {
-            c.clients = teachers.len();
-            match self.cfg.fusion {
-                FusionMode::EnsembleDistill => {
-                    // FedDF-style warm start (Lin et al. 2020, the fusion the
-                    // paper builds on): since every knowledge network shares
-                    // one architecture, initialize the student at their
-                    // sample-weighted average, then refine it by distilling
-                    // the ensemble. Distillation alone transfers too little
-                    // per round to accumulate progress across rounds.
-                    let mut student = Model::new(self.cfg.knowledge_spec);
-                    let states: Vec<ModelState> = teachers.iter().map(Model::state).collect();
-                    student.set_state(&weight_average_fusion(&states, &sample_counts));
-                    let seed = child_seed(ctx.cfg.seed, 0xD157 ^ round as u64);
-                    let out = distill_ensemble(
-                        &mut student,
-                        &mut teachers,
-                        &self.cfg.public_pool,
-                        &self.cfg.distill,
-                        seed,
-                    );
-                    c.steps = out.steps as u64;
-                    c.batches = out.batches as u64;
-                    self.global_knowledge = student.state();
-                }
-                FusionMode::WeightAverage => {
-                    let states: Vec<ModelState> = teachers.iter().map(Model::state).collect();
-                    self.global_knowledge = weight_average_fusion(&states, &sample_counts);
-                }
-            }
-        });
-        Ok(RoundOutcome { train_loss })
-    }
-
     fn train_cohort(
         &mut self,
         wave: usize,
@@ -372,9 +251,6 @@ impl FedAlgorithm for FedKemf {
         scope: &mut RoundScope<'_>,
     ) -> Result<Vec<PreparedUpdate>, EngineError> {
         self.store.begin_round(wave);
-        if sampled.is_empty() {
-            return Ok(Vec::new());
-        }
         let ramp = if self.cfg.kl_warmup_rounds == 0 {
             1.0
         } else {
@@ -388,66 +264,56 @@ impl FedAlgorithm for FedKemf {
             temperature: self.cfg.dml_temperature,
             clip_norm: 5.0,
         };
-        let chunk = ctx.cfg.cohort_chunk(sampled.len());
-        let mut out = Vec::with_capacity(sampled.len());
-        scope.phase(Phase::LocalUpdate, |c| -> Result<(), EngineError> {
-            for batch in sampled.chunks(chunk) {
-                let mut locals: Vec<(usize, Model)> = Vec::with_capacity(batch.len());
-                for &k in batch {
-                    let spec = self.cfg.client_specs[k];
-                    let blob = self.store.fetch(k, |_| fresh_local_blob(spec))?;
-                    locals.push((k, model_from_blob(&blob, k, spec)?));
-                }
-                let global = &self.global_knowledge;
-                let knowledge_spec = self.cfg.knowledge_spec;
-                let mutual = self.cfg.mutual;
-                let results: Vec<(usize, Model, Model, f32, usize)> = locals
-                    .into_par_iter()
-                    .map(|(k, mut local)| {
-                        let mut knowledge = Model::new(knowledge_spec);
-                        knowledge.set_state(global);
-                        let seed =
-                            child_seed(ctx.cfg.seed, 0xD31 ^ ((wave as u64) << 20 | k as u64));
-                        let shard = ctx.client_shard(k);
-                        let (loss, steps) = if mutual {
-                            let out =
-                                dml_local_update(&mut local, &mut knowledge, &shard, &dml_cfg, seed);
-                            (out.mean_knowledge_loss, out.steps)
-                        } else {
-                            let plain = LocalCfg {
-                                epochs: dml_cfg.epochs,
-                                batch: dml_cfg.batch,
-                                sgd: dml_cfg.sgd,
-                            };
-                            let a = local_train(&mut local, &shard, &plain, seed, None);
-                            let out = local_train(&mut knowledge, &shard, &plain, seed ^ 1, None);
-                            (out.mean_loss, a.steps + out.steps)
+        // Only the tiny uploaded knowledge networks outlive a batch, so
+        // local-update memory is O(batch · local + cohort · knet).
+        train_cohort_in_batches(self, sampled, ctx, scope, |algo, batch| {
+            // Sequential fetch (the store is `&mut self`): rebuild each
+            // sampled client's deployed model.
+            let mut locals: Vec<(usize, Model)> = Vec::with_capacity(batch.len());
+            for &k in batch {
+                let spec = algo.cfg.client_specs[k];
+                let blob = algo.store.fetch(k, |_| fresh_local_blob(spec))?;
+                locals.push((k, model_from_blob(&blob, k, spec)?));
+            }
+            let global = &algo.global_knowledge;
+            let knowledge_spec = algo.cfg.knowledge_spec;
+            let mutual = algo.cfg.mutual;
+            Ok(locals
+                .into_par_iter()
+                .map(|(k, mut local)| {
+                    let mut knowledge = Model::new(knowledge_spec);
+                    knowledge.set_state(global);
+                    let seed = child_seed(ctx.cfg.seed, 0xD31 ^ ((wave as u64) << 20 | k as u64));
+                    let shard = ctx.client_shard(k);
+                    let (loss, steps) = if mutual {
+                        let out =
+                            dml_local_update(&mut local, &mut knowledge, &shard, &dml_cfg, seed);
+                        (out.mean_knowledge_loss, out.steps)
+                    } else {
+                        // Ablation: decoupled training (no knowledge extraction).
+                        let plain = LocalCfg {
+                            epochs: dml_cfg.epochs,
+                            batch: dml_cfg.batch,
+                            sgd: dml_cfg.sgd,
                         };
-                        (k, local, knowledge, loss, steps)
-                    })
-                    .collect();
-                c.clients += results.len();
-                c.steps += results.iter().map(|r| r.4 as u64).sum::<u64>();
-                c.batches = c.steps;
-                // The refreshed deployed model rides along as a deferred
-                // commit: an evicted or quorum-aborted update must not
-                // have touched the device.
-                for (k, local, knowledge, loss, steps) in results {
-                    out.push(PreparedUpdate {
+                        let a = local_train(&mut local, &shard, &plain, seed, None);
+                        let out = local_train(&mut knowledge, &shard, &plain, seed ^ 1, None);
+                        (out.mean_loss, a.steps + out.steps)
+                    };
+                    // The refreshed deployed model rides along as a
+                    // deferred commit: an evicted or quorum-aborted update
+                    // must not have touched the device.
+                    PreparedUpdate {
                         client: k,
                         n_samples: ctx.client_shard_len(k),
                         steps,
                         loss,
                         payload: UpdatePayload::State(knowledge.state()),
-                        commit: Some(
-                            ClientBlob::new().with_model("model", local.state()),
-                        ),
-                    });
-                }
-            }
-            Ok(())
-        })?;
-        Ok(out)
+                        commit: Some(ClientBlob::new().with_model("model", local.state())),
+                    }
+                })
+                .collect())
+        })
     }
 
     fn fuse(

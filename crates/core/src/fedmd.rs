@@ -20,7 +20,7 @@ use kemf_data::dataset::Dataset;
 use kemf_fl::client_store::{ClientBlob, ClientStateStore, SpillConfig, StoreError};
 use kemf_fl::config::ConfigError;
 use kemf_fl::context::FlContext;
-use kemf_fl::engine::{EngineError, FedAlgorithm, RoundOutcome};
+use kemf_fl::engine::{train_cohort_in_batches, EngineError, FedAlgorithm, RoundOutcome};
 use kemf_fl::lifecycle::{ClientPlan, ModelView, WirePayload};
 use kemf_fl::local::{local_train, LocalCfg};
 use kemf_fl::scheduler::{PreparedUpdate, UpdatePayload};
@@ -33,7 +33,6 @@ use kemf_nn::model::Model;
 use kemf_nn::models::ModelSpec;
 use kemf_nn::optim::{clip_grad_norm, Sgd};
 use kemf_nn::loss::soften;
-use kemf_tensor::ops::elementwise_mean;
 use kemf_tensor::rng::{child_seed, seeded_rng};
 use kemf_tensor::Tensor;
 use rand::seq::SliceRandom;
@@ -197,85 +196,6 @@ impl FedAlgorithm for FedMd {
         ClientPlan::uniform(sampled, ModelView::Logits, WirePayload::symmetric(self.payload_bytes()))
     }
 
-    fn round(
-        &mut self,
-        round: usize,
-        sampled: &[usize],
-        ctx: &FlContext,
-        scope: &mut RoundScope<'_>,
-    ) -> Result<RoundOutcome, EngineError> {
-        self.store.begin_round(round);
-        if sampled.is_empty() {
-            return Ok(RoundOutcome { train_loss: f32::NAN });
-        }
-        let local = LocalCfg {
-            epochs: ctx.cfg.local_epochs,
-            batch: ctx.cfg.batch_size,
-            sgd: ctx.cfg.sgd_at(round),
-        };
-        let consensus_targets = self
-            .consensus
-            .as_ref()
-            .map(|c| soften(c, self.cfg.temperature));
-        // Stream the cohort in bounded batches; only the per-client logit
-        // matrices stay resident for the consensus average, so memory is
-        // O(batch · model + cohort · logits).
-        let chunk = ctx.cfg.cohort_chunk(sampled.len());
-        let mut member_logits: Vec<Tensor> = Vec::with_capacity(sampled.len());
-        let mut loss_sum = 0.0f32;
-        scope.phase(Phase::LocalUpdate, |c| -> Result<(), EngineError> {
-            for batch in sampled.chunks(chunk) {
-                // Sequential fetch (the store is `&mut self`): rebuild each
-                // sampled client's local model.
-                let mut locals: Vec<(usize, Model)> = Vec::with_capacity(batch.len());
-                for &k in batch {
-                    let spec = self.client_specs[k];
-                    let blob = self.store.fetch(k, |_| fresh_local_blob(spec))?;
-                    locals.push((k, model_from_blob(&blob, k, spec)?));
-                }
-                let cfg = self.cfg;
-                let public = &self.public;
-                let results: Vec<(usize, Model, Tensor, f32, usize)> = locals
-                    .into_par_iter()
-                    .map(|(k, mut model)| {
-                        let seed =
-                            child_seed(ctx.cfg.seed, 0x3D ^ ((round as u64) << 16 | k as u64));
-                        // Digest the consensus, when one exists.
-                        let digest_steps = if let Some(targets) = &consensus_targets {
-                            digest(&mut model, public, targets, &cfg, local.sgd, seed)
-                        } else {
-                            0
-                        };
-                        // Revisit private data.
-                        let shard = ctx.client_shard(k);
-                        let out = local_train(&mut model, &shard, &local, seed ^ 7, None);
-                        // Publish logits on the public set (batch statistics:
-                        // local models take few steps per round, same rationale
-                        // as FedKEMF's distillation targets).
-                        let logits = model.predict_batch_stats(public);
-                        (k, model, logits, out.mean_loss, digest_steps + out.steps)
-                    })
-                    .collect();
-                c.clients += results.len();
-                c.steps += results.iter().map(|r| r.4 as u64).sum::<u64>();
-                c.batches = c.steps;
-                // Commit updated models back; collect logits in sampled order.
-                for (k, model, logits, loss, _steps) in results {
-                    self.store.commit(k, ClientBlob::new().with_model("model", model.state()))?;
-                    member_logits.push(logits);
-                    loss_sum += loss;
-                }
-            }
-            Ok(())
-        })?;
-        scope.phase(Phase::Fusion, |c| {
-            c.clients = member_logits.len();
-            let refs: Vec<&Tensor> = member_logits.iter().collect();
-            self.consensus = Some(elementwise_mean(&refs));
-        });
-        Ok(RoundOutcome { train_loss: loss_sum / member_logits.len().max(1) as f32 })
-    }
-
     fn train_cohort(
         &mut self,
         wave: usize,
@@ -284,14 +204,7 @@ impl FedAlgorithm for FedMd {
         scope: &mut RoundScope<'_>,
     ) -> Result<Vec<PreparedUpdate>, EngineError> {
         self.store.begin_round(wave);
-        if sampled.is_empty() {
-            return Ok(Vec::new());
-        }
-        let local = LocalCfg {
-            epochs: ctx.cfg.local_epochs,
-            batch: ctx.cfg.batch_size,
-            sgd: ctx.cfg.sgd_at(wave),
-        };
+        let local = LocalCfg::at(ctx, wave);
         // Clients digest the consensus that was current when they were
         // dispatched — a stale worker keeps learning from the snapshot it
         // downloaded, exactly as a real device would.
@@ -299,56 +212,50 @@ impl FedAlgorithm for FedMd {
             .consensus
             .as_ref()
             .map(|c| soften(c, self.cfg.temperature));
-        let chunk = ctx.cfg.cohort_chunk(sampled.len());
-        let mut out = Vec::with_capacity(sampled.len());
-        scope.phase(Phase::LocalUpdate, |c| -> Result<(), EngineError> {
-            for batch in sampled.chunks(chunk) {
-                let mut locals: Vec<(usize, Model)> = Vec::with_capacity(batch.len());
-                for &k in batch {
-                    let spec = self.client_specs[k];
-                    let blob = self.store.fetch(k, |_| fresh_local_blob(spec))?;
-                    locals.push((k, model_from_blob(&blob, k, spec)?));
-                }
-                let cfg = self.cfg;
-                let public = &self.public;
-                let results: Vec<(usize, Model, Tensor, f32, usize)> = locals
-                    .into_par_iter()
-                    .map(|(k, mut model)| {
-                        let seed =
-                            child_seed(ctx.cfg.seed, 0x3D ^ ((wave as u64) << 16 | k as u64));
-                        let digest_steps = if let Some(targets) = &consensus_targets {
-                            digest(&mut model, public, targets, &cfg, local.sgd, seed)
-                        } else {
-                            0
-                        };
-                        let shard = ctx.client_shard(k);
-                        let out = local_train(&mut model, &shard, &local, seed ^ 7, None);
-                        let logits = model.predict_batch_stats(public);
-                        (k, model, logits, out.mean_loss, digest_steps + out.steps)
-                    })
-                    .collect();
-                c.clients += results.len();
-                c.steps += results.iter().map(|r| r.4 as u64).sum::<u64>();
-                c.batches = c.steps;
-                for (k, model, logits, loss, steps) in results {
-                    out.push(PreparedUpdate {
+        // Only the per-client logit matrices outlive a batch, so memory
+        // is O(batch · model + cohort · logits).
+        train_cohort_in_batches(self, sampled, ctx, scope, |algo, batch| {
+            // Sequential fetch (the store is `&mut self`): rebuild each
+            // sampled client's local model.
+            let mut locals: Vec<(usize, Model)> = Vec::with_capacity(batch.len());
+            for &k in batch {
+                let spec = algo.client_specs[k];
+                let blob = algo.store.fetch(k, |_| fresh_local_blob(spec))?;
+                locals.push((k, model_from_blob(&blob, k, spec)?));
+            }
+            let cfg = algo.cfg;
+            let public = &algo.public;
+            Ok(locals
+                .into_par_iter()
+                .map(|(k, mut model)| {
+                    let seed = child_seed(ctx.cfg.seed, 0x3D ^ ((wave as u64) << 16 | k as u64));
+                    // Digest the consensus, when one exists.
+                    let digest_steps = if let Some(targets) = &consensus_targets {
+                        digest(&mut model, public, targets, &cfg, local.sgd, seed)
+                    } else {
+                        0
+                    };
+                    // Revisit private data.
+                    let shard = ctx.client_shard(k);
+                    let out = local_train(&mut model, &shard, &local, seed ^ 7, None);
+                    // Publish logits on the public set (batch statistics:
+                    // local models take few steps per round, same
+                    // rationale as FedKEMF's distillation targets).
+                    let logits = model.predict_batch_stats(public);
+                    PreparedUpdate {
                         client: k,
                         n_samples: ctx.client_shard_len(k),
-                        steps,
-                        loss,
+                        steps: digest_steps + out.steps,
+                        loss: out.mean_loss,
                         payload: UpdatePayload::Logits(TensorBlob {
                             dims: logits.dims().to_vec(),
                             values: logits.data().to_vec(),
                         }),
-                        commit: Some(
-                            ClientBlob::new().with_model("model", model.state()),
-                        ),
-                    });
-                }
-            }
-            Ok(())
-        })?;
-        Ok(out)
+                        commit: Some(ClientBlob::new().with_model("model", model.state())),
+                    }
+                })
+                .collect())
+        })
     }
 
     fn fuse(

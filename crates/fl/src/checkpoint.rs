@@ -184,7 +184,6 @@ pub fn run_fingerprint(
     finite("config", "momentum", cfg.momentum as f64)?;
     finite("config", "weight_decay", cfg.weight_decay as f64)?;
     finite("config", "alpha", cfg.alpha)?;
-    finite("config", "dropout_prob", cfg.dropout_prob as f64)?;
     match cfg.lr_schedule {
         LrSchedule::Constant => {}
         LrSchedule::Step { gamma, .. } => finite("config", "lr_schedule.gamma", gamma as f64)?,

@@ -91,11 +91,6 @@ pub struct FlConfig {
     pub min_per_client: usize,
     /// Evaluation batch size.
     pub eval_batch: usize,
-    /// Legacy single-knob failure injection: probability that a sampled
-    /// client crashes after downloading the global state but before
-    /// reporting. Folded into [`FaultConfig::drop_after_download`] by
-    /// [`FlConfig::fault_plan`]; prefer setting `faults` directly.
-    pub dropout_prob: f32,
     /// Lifecycle fault model (per-phase drops, stragglers, upload
     /// retries, quorum). Defaults to a fully reliable fleet.
     pub faults: FaultConfig,
@@ -124,7 +119,6 @@ impl Default for FlConfig {
             alpha: 0.1,
             min_per_client: 8,
             eval_batch: 64,
-            dropout_prob: 0.0,
             faults: FaultConfig::default(),
             cohort_batch: None,
             seed: 0,
@@ -153,19 +147,6 @@ impl FlConfig {
             weight_decay: self.weight_decay,
             nesterov: false,
         }
-    }
-
-    /// The effective lifecycle fault model: `faults`, with the legacy
-    /// `dropout_prob` knob folded into the after-download crash
-    /// probability (independent events, so probabilities combine as
-    /// `1 − (1−a)(1−b)`).
-    pub fn fault_plan(&self) -> FaultConfig {
-        let mut faults = self.faults;
-        if self.dropout_prob > 0.0 {
-            faults.drop_after_download =
-                1.0 - (1.0 - faults.drop_after_download) * (1.0 - self.dropout_prob);
-        }
-        faults
     }
 
     /// Check the configuration for inconsistencies. Construction sites
@@ -220,13 +201,6 @@ impl FlConfig {
                 field: "alpha",
                 value: self.alpha,
                 bounds: "(0, inf)",
-            });
-        }
-        if !(0.0..1.0).contains(&self.dropout_prob) {
-            return Err(ConfigError::OutOfRange {
-                field: "dropout_prob",
-                value: self.dropout_prob as f64,
-                bounds: "[0, 1)",
             });
         }
         if self.cohort_batch == Some(0) {
@@ -305,20 +279,6 @@ mod tests {
         assert_eq!(cfg.cohort_chunk(10), 10);
         assert_eq!(cfg.cohort_chunk(1000), 64);
         assert_eq!(FlConfig::default().cohort_chunk(1000), 1000);
-    }
-
-    #[test]
-    fn legacy_dropout_folds_into_fault_plan() {
-        let cfg = FlConfig { dropout_prob: 0.5, ..Default::default() };
-        assert!((cfg.fault_plan().drop_after_download - 0.5).abs() < 1e-6);
-        // Combined with an explicit after-download probability the two
-        // crash sources compose as independent events.
-        let cfg = FlConfig {
-            dropout_prob: 0.5,
-            faults: FaultConfig { drop_after_download: 0.5, ..Default::default() },
-            ..Default::default()
-        };
-        assert!((cfg.fault_plan().drop_after_download - 0.75).abs() < 1e-6);
     }
 
     #[test]

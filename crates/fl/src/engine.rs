@@ -69,12 +69,17 @@ pub trait FedAlgorithm: Send {
     /// pre-redesign `payload × n` accounting bit for bit.
     fn client_plans(&self, round: usize, sampled: &[usize]) -> Vec<ClientPlan>;
 
-    /// Execute one communication round over the client indices whose
-    /// full lifecycle (download → train → upload) succeeded. `scope` is
-    /// the round's observability handle: implementations wrap their
-    /// client fan-out in [`Phase::LocalUpdate`] and their server-side
-    /// aggregation/distillation in [`Phase::Fusion`] via
-    /// [`RoundScope::phase`] (a no-op branch when tracing is off).
+    /// Execute one synchronous communication round over the client
+    /// indices whose full lifecycle (download → train → upload)
+    /// succeeded. `scope` is the round's observability handle.
+    ///
+    /// Provided: [`train_cohort`](Self::train_cohort) then
+    /// [`fuse`](Self::fuse) with every update at staleness weight `1.0`
+    /// — a synchronous round is a buffered cycle whose buffer is the
+    /// whole fresh cohort. Every update of the cohort is alive at fusion
+    /// time. Algorithms whose fusion is a streaming fold override this
+    /// to hold one [`crate::config::FlConfig::cohort_batch`] of client
+    /// states at a time (see [`crate::weight_common::stream_round`]).
     ///
     /// A round that cannot complete — a corrupt client-state slot, a
     /// failed spill read — returns a typed [`EngineError`] (usually
@@ -86,52 +91,44 @@ pub trait FedAlgorithm: Send {
         sampled: &[usize],
         ctx: &FlContext,
         scope: &mut RoundScope<'_>,
-    ) -> Result<RoundOutcome, EngineError>;
+    ) -> Result<RoundOutcome, EngineError> {
+        let updates = self.train_cohort(round, sampled, ctx, scope)?;
+        self.fuse(round, updates.into_iter().map(|u| (u, 1.0)).collect(), ctx, scope)
+    }
 
     /// Train the sampled cohort against the *current* global model
     /// without fusing: one [`PreparedUpdate`] per entry of `sampled`,
-    /// in order. The buffered-asynchronous scheduler banks these and
-    /// fuses them — possibly cycles later, staleness-weighted — via
-    /// [`fuse`](Self::fuse). Every side effect the synchronous
-    /// [`round`](Self::round) applies at aggregation time must be
+    /// in order. Implementations train one batch at a time through
+    /// [`train_cohort_in_batches`], which owns the cohort batching and
+    /// the round's single [`Phase::LocalUpdate`] span. The
+    /// buffered-asynchronous scheduler banks the updates and fuses them
+    /// — possibly cycles later, staleness-weighted — via
+    /// [`fuse`](Self::fuse). Every side effect of aggregation must be
     /// deferred: per-client store commits ride in
     /// [`PreparedUpdate::commit`] and are applied by `fuse` only for
-    /// updates that actually fold in. The default rejects asynchronous
-    /// rounds with a typed error, so synchronous-only algorithms fail
-    /// fast instead of silently diverging.
+    /// updates that actually fold in.
     fn train_cohort(
         &mut self,
         wave: usize,
         sampled: &[usize],
         ctx: &FlContext,
         scope: &mut RoundScope<'_>,
-    ) -> Result<Vec<PreparedUpdate>, EngineError> {
-        let _ = (wave, sampled, ctx, scope);
-        Err(EngineError::Config(ConfigError::AlgorithmSetup {
-            algorithm: self.name(),
-            reason: "buffered-asynchronous rounds are not supported by this algorithm".into(),
-        }))
-    }
+    ) -> Result<Vec<PreparedUpdate>, EngineError>;
 
     /// Fuse a buffer of prepared updates into the global model, each at
     /// its staleness weight (`1.0` means fresh; the fold must be
-    /// bit-identical to the synchronous fold when every weight is
+    /// bit-identical to a streamed synchronous fold when every weight is
     /// `1.0`). Consumes the buffer — deferred store commits of folded
     /// updates are applied here, and an empty buffer reports NaN loss
-    /// without touching state (mirroring a synchronous empty round).
+    /// without touching state. Server-side aggregation runs inside one
+    /// [`Phase::Fusion`] span.
     fn fuse(
         &mut self,
         round: usize,
         updates: Vec<(PreparedUpdate, f32)>,
         ctx: &FlContext,
         scope: &mut RoundScope<'_>,
-    ) -> Result<RoundOutcome, EngineError> {
-        let _ = (round, updates, ctx, scope);
-        Err(EngineError::Config(ConfigError::AlgorithmSetup {
-            algorithm: self.name(),
-            reason: "buffered-asynchronous rounds are not supported by this algorithm".into(),
-        }))
-    }
+    ) -> Result<RoundOutcome, EngineError>;
 
     /// Evaluate the current global model on the held-out test set.
     fn evaluate(&mut self, ctx: &FlContext) -> f32;
@@ -166,6 +163,56 @@ pub trait FedAlgorithm: Send {
     }
 }
 
+/// Train `sampled` in [`crate::config::FlConfig::cohort_chunk`]-sized
+/// batches inside the round's single [`Phase::LocalUpdate`] span.
+/// `train_batch` trains one batch against the current global model and
+/// returns its updates in batch order; `consume` receives each batch's
+/// updates in sampled order before the next batch trains, so a consumer
+/// that folds and drops them holds one batch of client states at a
+/// time. Both closures borrow `state` in turn. The span's counters come
+/// from the updates: clients, optimizer steps, and batches = steps. An
+/// empty cohort opens no span.
+pub fn train_in_batches<S: ?Sized>(
+    state: &mut S,
+    sampled: &[usize],
+    ctx: &FlContext,
+    scope: &mut RoundScope<'_>,
+    mut train_batch: impl FnMut(&mut S, &[usize]) -> Result<Vec<PreparedUpdate>, EngineError>,
+    mut consume: impl FnMut(&mut S, Vec<PreparedUpdate>) -> Result<(), EngineError>,
+) -> Result<(), EngineError> {
+    if sampled.is_empty() {
+        return Ok(());
+    }
+    let chunk = ctx.cfg.cohort_chunk(sampled.len());
+    scope.phase(Phase::LocalUpdate, |c| {
+        for batch in sampled.chunks(chunk) {
+            let updates = train_batch(state, batch)?;
+            c.clients += updates.len();
+            c.steps += updates.iter().map(|u| u.steps as u64).sum::<u64>();
+            c.batches = c.steps;
+            consume(state, updates)?;
+        }
+        Ok(())
+    })
+}
+
+/// [`train_in_batches`], keeping every update: the body of a
+/// [`FedAlgorithm::train_cohort`].
+pub fn train_cohort_in_batches<S: ?Sized>(
+    state: &mut S,
+    sampled: &[usize],
+    ctx: &FlContext,
+    scope: &mut RoundScope<'_>,
+    train_batch: impl FnMut(&mut S, &[usize]) -> Result<Vec<PreparedUpdate>, EngineError>,
+) -> Result<Vec<PreparedUpdate>, EngineError> {
+    let mut out = Vec::with_capacity(sampled.len());
+    train_in_batches(state, sampled, ctx, scope, train_batch, |_, updates| {
+        out.extend(updates);
+        Ok(())
+    })?;
+    Ok(out)
+}
+
 /// Everything that parameterizes one engine run besides the algorithm
 /// and context. Build it fluently:
 ///
@@ -181,7 +228,7 @@ pub trait FedAlgorithm: Send {
 #[derive(Default)]
 pub struct RunOptions<'a> {
     /// Explicit fault model; `None` uses the context's
-    /// [`crate::config::FlConfig::fault_plan`].
+    /// [`crate::config::FlConfig::faults`].
     pub faults: Option<FaultConfig>,
     /// External observability sink; `None` with `record_trace` unset
     /// means no tracing at all.
@@ -497,24 +544,6 @@ pub fn sample_clients(n_clients: usize, count: usize, rng: &mut StdRng) -> Vec<u
     out
 }
 
-/// Legacy single-knob failure injection: drop each sampled client with
-/// probability `dropout_prob`, keeping at least one survivor. Superseded
-/// by the lifecycle executor ([`FaultConfig`] models *where* in the round
-/// a client fails); kept for callers that only need a thinned set.
-pub fn apply_dropout(sampled: &[usize], dropout_prob: f32, rng: &mut StdRng) -> Vec<usize> {
-    if dropout_prob <= 0.0 {
-        return sampled.to_vec();
-    }
-    use rand::Rng;
-    let mut survivors: Vec<usize> =
-        sampled.iter().copied().filter(|_| rng.gen::<f32>() >= dropout_prob).collect();
-    if survivors.is_empty() {
-        let keep = sampled[rng.gen_range(0..sampled.len())];
-        survivors.push(keep);
-    }
-    survivors
-}
-
 /// Install the process-wide compute thread pool exactly once, sized by the
 /// `KEMF_THREADS` environment variable (unset or `0` = one worker per
 /// available core). Every parallel region in the workspace — the packed
@@ -604,7 +633,7 @@ fn run_core(
     sink: &mut dyn EventSink,
 ) -> Result<RunReport, EngineError> {
     ctx.cfg.validate().map_err(EngineError::Config)?;
-    let faults = opts.faults.unwrap_or_else(|| ctx.cfg.fault_plan());
+    let faults = opts.faults.unwrap_or(ctx.cfg.faults);
     faults.validate().map_err(EngineError::Config)?;
     let per_round = ctx.cfg.sampled_per_round();
     if faults.min_quorum > per_round {
@@ -1010,16 +1039,6 @@ mod tests {
                 WirePayload { down_bytes: 10, up_bytes: 5 },
             )
         }
-        fn round(
-            &mut self,
-            _round: usize,
-            sampled: &[usize],
-            _ctx: &FlContext,
-            _scope: &mut RoundScope<'_>,
-        ) -> Result<RoundOutcome, EngineError> {
-            self.rounds_seen.push(sampled.to_vec());
-            Ok(RoundOutcome { train_loss: 1.0 })
-        }
         fn train_cohort(
             &mut self,
             _wave: usize,
@@ -1147,26 +1166,9 @@ mod tests {
     }
 
     #[test]
-    fn dropout_thins_rounds_but_never_empties_them() {
-        let mut rng = seeded_rng(9);
-        let sampled: Vec<usize> = (0..10).collect();
-        let mut total = 0usize;
-        for _ in 0..200 {
-            let s = apply_dropout(&sampled, 0.5, &mut rng);
-            assert!(!s.is_empty());
-            assert!(s.iter().all(|k| sampled.contains(k)));
-            total += s.len();
-        }
-        let mean = total as f64 / 200.0;
-        assert!((mean - 5.0).abs() < 0.5, "mean survivors {mean}");
-        // Zero probability is the identity.
-        assert_eq!(apply_dropout(&sampled, 0.0, &mut rng), sampled);
-    }
-
-    #[test]
     fn dropout_charges_full_broadcast_but_thinned_uplink() {
         let mut ctx = tiny_ctx();
-        ctx.cfg.dropout_prob = 0.5;
+        ctx.cfg.faults.drop_after_download = 0.5;
         let mut algo = Dummy::new();
         let h = run_default(&mut algo, &ctx);
         assert_eq!(h.rounds(), 4);
@@ -1187,7 +1189,7 @@ mod tests {
     #[test]
     fn engine_runs_with_heavy_dropout() {
         let mut ctx = tiny_ctx();
-        ctx.cfg.dropout_prob = 0.8;
+        ctx.cfg.faults.drop_after_download = 0.8;
         let mut algo = Dummy::new();
         let h = run_default(&mut algo, &ctx);
         assert_eq!(h.rounds(), 4);
@@ -1280,10 +1282,19 @@ mod tests {
                 })
                 .collect()
         }
-        fn round(
+        fn train_cohort(
+            &mut self,
+            _wave: usize,
+            _sampled: &[usize],
+            _ctx: &FlContext,
+            _scope: &mut RoundScope<'_>,
+        ) -> Result<Vec<PreparedUpdate>, EngineError> {
+            Ok(Vec::new())
+        }
+        fn fuse(
             &mut self,
             _round: usize,
-            _sampled: &[usize],
+            _updates: Vec<(PreparedUpdate, f32)>,
             _ctx: &FlContext,
             _scope: &mut RoundScope<'_>,
         ) -> Result<RoundOutcome, EngineError> {

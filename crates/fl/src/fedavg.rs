@@ -3,14 +3,15 @@
 //! weighted average of the returned weights.
 
 use crate::context::FlContext;
-use crate::engine::{EngineError, FedAlgorithm, RoundOutcome};
+use crate::engine::{train_cohort_in_batches, EngineError, FedAlgorithm, RoundOutcome};
 use crate::lifecycle::{ClientPlan, ModelView, WirePayload};
 use crate::local::LocalCfg;
 use crate::scheduler::PreparedUpdate;
 use crate::state::{check_model_layout, AlgorithmState, RestoreError};
-use crate::trace::{Phase, RoundScope};
+use crate::trace::RoundScope;
 use crate::weight_common::{
-    fan_out_clients, fuse_state_average, train_cohort_states, GlobalModel, StateAverage,
+    fan_out_clients, fold_buffer, state_payload, stream_round, GlobalModel, StateAverage,
+    StreamingFold,
 };
 use kemf_nn::models::ModelSpec;
 use kemf_nn::serialize::ModelState;
@@ -52,52 +53,7 @@ impl FedAlgorithm for FedAvg {
         ctx: &FlContext,
         scope: &mut RoundScope<'_>,
     ) -> Result<RoundOutcome, EngineError> {
-        if sampled.is_empty() {
-            // Nothing reported: no loss exists and the global state must
-            // not move (an average over zero clients has no value).
-            return Ok(RoundOutcome { train_loss: f32::NAN });
-        }
-        let local = LocalCfg {
-            epochs: ctx.cfg.local_epochs,
-            batch: ctx.cfg.batch_size,
-            sgd: ctx.cfg.sgd_at(round),
-        };
-        // Coefficient total over the whole cohort, computed before
-        // streaming: the running average divides by it up front, so any
-        // cohort_batch size folds results identically.
-        let total: f32 = sampled.iter().map(|&k| ctx.client_shard_len(k) as f32).sum();
-        let chunk = ctx.cfg.cohort_chunk(sampled.len());
-        let mut avg = StateAverage::new(&self.global.state, total);
-        let mut loss_sum = 0.0f32;
-        let mut reported = 0usize;
-        scope.phase(Phase::LocalUpdate, |c| {
-            for batch in sampled.chunks(chunk) {
-                let results = fan_out_clients(
-                    &self.global.state,
-                    self.global.spec,
-                    round,
-                    batch,
-                    ctx,
-                    &local,
-                    &|_k| None,
-                );
-                c.clients += results.len();
-                c.steps += results.iter().map(|r| r.outcome.steps as u64).sum::<u64>();
-                c.batches = c.steps;
-                // Sequential in sampled order, so f32 accumulation is
-                // bit-identical no matter how the cohort was batched.
-                for r in &results {
-                    avg.add(&r.state, r.n_samples as f32);
-                    loss_sum += r.outcome.mean_loss;
-                    reported += 1;
-                }
-            }
-        });
-        scope.phase(Phase::Fusion, |c| {
-            c.clients = reported;
-            self.global.state = avg.finish();
-        });
-        Ok(RoundOutcome { train_loss: loss_sum / reported as f32 })
+        stream_round(self, round, sampled, ctx, scope)
     }
 
     fn train_cohort(
@@ -107,22 +63,19 @@ impl FedAlgorithm for FedAvg {
         ctx: &FlContext,
         scope: &mut RoundScope<'_>,
     ) -> Result<Vec<PreparedUpdate>, EngineError> {
-        let local = LocalCfg {
-            epochs: ctx.cfg.local_epochs,
-            batch: ctx.cfg.batch_size,
-            sgd: ctx.cfg.sgd_at(wave),
-        };
-        Ok(train_cohort_states(&self.global, wave, sampled, ctx, &local, &|_k| None, scope))
+        train_cohort_in_batches(self, sampled, ctx, scope, |a, batch| {
+            a.train_batch(wave, batch, ctx)
+        })
     }
 
     fn fuse(
         &mut self,
-        _round: usize,
+        round: usize,
         updates: Vec<(PreparedUpdate, f32)>,
-        _ctx: &FlContext,
+        ctx: &FlContext,
         scope: &mut RoundScope<'_>,
     ) -> Result<RoundOutcome, EngineError> {
-        fuse_state_average("FedAvg", &mut self.global, updates, scope)
+        fold_buffer(self, round, updates, ctx, scope)
     }
 
     fn evaluate(&mut self, ctx: &FlContext) -> f32 {
@@ -143,6 +96,38 @@ impl FedAlgorithm for FedAvg {
 
     fn global_model(&self) -> Option<(kemf_nn::models::ModelSpec, kemf_nn::serialize::ModelState)> {
         Some((self.global.spec, self.global.state.clone()))
+    }
+}
+
+impl StreamingFold for FedAvg {
+    type Fold = StateAverage;
+
+    fn train_batch(
+        &mut self,
+        wave: usize,
+        batch: &[usize],
+        ctx: &FlContext,
+    ) -> Result<Vec<PreparedUpdate>, EngineError> {
+        let local = LocalCfg::at(ctx, wave);
+        Ok(fan_out_clients(&self.global, wave, batch, ctx, &local, &|_k| None))
+    }
+
+    fn begin_fold(&mut self, _round: usize, total: f32) -> StateAverage {
+        StateAverage::new(&self.global.state, total)
+    }
+
+    fn fold(
+        &mut self,
+        acc: &mut StateAverage,
+        update: PreparedUpdate,
+        coeff: f32,
+    ) -> Result<(), EngineError> {
+        acc.add(state_payload("FedAvg", &update)?, coeff);
+        Ok(())
+    }
+
+    fn finish_fold(&mut self, acc: StateAverage, _reported: usize, _ctx: &FlContext) {
+        self.global.state = acc.finish();
     }
 }
 
@@ -208,22 +193,6 @@ mod tests {
             run(&mut algo, &ctx).accuracies()
         };
         assert_eq!(run_once(), run_once());
-    }
-
-    #[test]
-    fn cohort_batching_is_bit_identical() {
-        // cohort_batch is a memory knob only: the streamed average and
-        // the sequential loss fold must reproduce the unbatched history
-        // bit for bit, whatever the batch size.
-        let history = |batch: Option<usize>| {
-            let mut ctx = tiny_ctx(15);
-            ctx.cfg.cohort_batch = batch;
-            let mut algo = FedAvg::new(ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 0));
-            run(&mut algo, &ctx).records
-        };
-        let whole = history(None);
-        assert_eq!(whole, history(Some(1)));
-        assert_eq!(whole, history(Some(3)));
     }
 
     #[test]

@@ -12,15 +12,18 @@
 //! accounts as a 2× per-round payload vs FedAvg.
 
 use crate::context::FlContext;
-use crate::engine::{EngineError, FedAlgorithm, RoundOutcome};
+use crate::engine::{train_cohort_in_batches, EngineError, FedAlgorithm, RoundOutcome};
 use crate::lifecycle::{ClientPlan, ModelView, WirePayload};
 use crate::local::LocalCfg;
 use crate::scheduler::{PreparedUpdate, UpdatePayload};
 use crate::state::{check_model_layout, AlgorithmState, RestoreError};
-use crate::trace::{Phase, RoundScope};
-use crate::weight_common::{fan_out_clients, GlobalModel, WeightsAverage};
+use crate::trace::RoundScope;
+use crate::weight_common::{
+    fan_out_clients, fold_buffer, state_payload, stream_round, GlobalModel,
+    StreamingFold, WeightsAverage,
+};
 use kemf_nn::models::ModelSpec;
-use kemf_nn::serialize::ModelState;
+use kemf_nn::serialize::Weights;
 
 /// The FedNova baseline.
 pub struct FedNova {
@@ -55,59 +58,7 @@ impl FedAlgorithm for FedNova {
         ctx: &FlContext,
         scope: &mut RoundScope<'_>,
     ) -> Result<RoundOutcome, EngineError> {
-        if sampled.is_empty() {
-            return Ok(RoundOutcome { train_loss: f32::NAN });
-        }
-        let local = LocalCfg {
-            epochs: ctx.cfg.local_epochs,
-            batch: ctx.cfg.batch_size,
-            sgd: ctx.cfg.sgd_at(round),
-        };
-        // Σ n over the whole cohort, before streaming (identical f32 sum
-        // order to the per-result fold it replaces: sampled order).
-        let total_n: f32 = sampled.iter().map(|&k| ctx.client_shard_len(k) as f32).sum();
-        let chunk = ctx.cfg.cohort_chunk(sampled.len());
-        // Normalized directions d_k = (w_global − w_k) / τ_k, folded in
-        // as each client reports; the global stays fixed until fusion.
-        let mut combined = self.global.state.params.zeros_like();
-        let mut tau_eff = 0.0f32;
-        let mut buffers = WeightsAverage::new(&self.global.state.buffers, total_n);
-        let mut loss_sum = 0.0f32;
-        let mut reported = 0usize;
-        scope.phase(Phase::LocalUpdate, |c| {
-            for batch in sampled.chunks(chunk) {
-                let results = fan_out_clients(
-                    &self.global.state,
-                    self.global.spec,
-                    round,
-                    batch,
-                    ctx,
-                    &local,
-                    &|_k| None,
-                );
-                c.clients += results.len();
-                c.steps += results.iter().map(|r| r.outcome.steps as u64).sum::<u64>();
-                c.batches = c.steps;
-                for r in &results {
-                    let tau = r.outcome.steps.max(1) as f32;
-                    let p = r.n_samples as f32 / total_n;
-                    tau_eff += p * tau;
-                    let d = self.global.state.params.delta(&r.state.params);
-                    combined.scale_add(1.0, &d, p / tau);
-                    // Buffers: weighted average, as for FedAvg.
-                    buffers.add(&r.state.buffers, r.n_samples as f32);
-                    loss_sum += r.outcome.mean_loss;
-                    reported += 1;
-                }
-            }
-        });
-        scope.phase(Phase::Fusion, |c| {
-            c.clients = reported;
-            // w ← w − τ_eff · Σ p_k d_k  (note d already points from w to w_k).
-            self.global.state.params.scale_add(1.0, &combined, -tau_eff);
-            self.global.state.buffers = buffers.finish();
-        });
-        Ok(RoundOutcome { train_loss: loss_sum / reported as f32 })
+        stream_round(self, round, sampled, ctx, scope)
     }
 
     fn train_cohort(
@@ -117,85 +68,19 @@ impl FedAlgorithm for FedNova {
         ctx: &FlContext,
         scope: &mut RoundScope<'_>,
     ) -> Result<Vec<PreparedUpdate>, EngineError> {
-        let local = LocalCfg {
-            epochs: ctx.cfg.local_epochs,
-            batch: ctx.cfg.batch_size,
-            sgd: ctx.cfg.sgd_at(wave),
-        };
-        let chunk = ctx.cfg.cohort_chunk(sampled.len().max(1));
-        let mut out = Vec::with_capacity(sampled.len());
-        scope.phase(Phase::LocalUpdate, |c| {
-            for batch in sampled.chunks(chunk) {
-                let results = fan_out_clients(
-                    &self.global.state,
-                    self.global.spec,
-                    wave,
-                    batch,
-                    ctx,
-                    &local,
-                    &|_k| None,
-                );
-                c.clients += results.len();
-                c.steps += results.iter().map(|r| r.outcome.steps as u64).sum::<u64>();
-                c.batches = c.steps;
-                for r in results {
-                    // The normalized direction is anchored to the global
-                    // weights the client actually started from, so it is
-                    // computed here at dispatch time, not at fusion.
-                    let d = self.global.state.params.delta(&r.state.params);
-                    out.push(PreparedUpdate {
-                        client: r.client,
-                        n_samples: r.n_samples,
-                        steps: r.outcome.steps,
-                        loss: r.outcome.mean_loss,
-                        payload: UpdatePayload::State(ModelState {
-                            params: d,
-                            buffers: r.state.buffers,
-                        }),
-                        commit: None,
-                    });
-                }
-            }
-        });
-        Ok(out)
+        train_cohort_in_batches(self, sampled, ctx, scope, |a, batch| {
+            a.train_batch(wave, batch, ctx)
+        })
     }
 
     fn fuse(
         &mut self,
-        _round: usize,
+        round: usize,
         updates: Vec<(PreparedUpdate, f32)>,
-        _ctx: &FlContext,
+        ctx: &FlContext,
         scope: &mut RoundScope<'_>,
     ) -> Result<RoundOutcome, EngineError> {
-        if updates.is_empty() {
-            return Ok(RoundOutcome { train_loss: f32::NAN });
-        }
-        let total_n: f32 = updates.iter().map(|(u, w)| w * u.n_samples as f32).sum();
-        let mut combined = self.global.state.params.zeros_like();
-        let mut tau_eff = 0.0f32;
-        let mut buffers = WeightsAverage::new(&self.global.state.buffers, total_n);
-        let mut loss_sum = 0.0f32;
-        let reported = updates.len();
-        for (u, w) in &updates {
-            let UpdatePayload::State(delta) = &u.payload else {
-                return Err(EngineError::Config(crate::config::ConfigError::AlgorithmSetup {
-                    algorithm: "FedNova".into(),
-                    reason: format!("client {}: expected a direction-state payload", u.client),
-                }));
-            };
-            let tau = u.steps.max(1) as f32;
-            let p = w * u.n_samples as f32 / total_n;
-            tau_eff += p * tau;
-            combined.scale_add(1.0, &delta.params, p / tau);
-            buffers.add(&delta.buffers, w * u.n_samples as f32);
-            loss_sum += u.loss;
-        }
-        scope.phase(Phase::Fusion, |c| {
-            c.clients = reported;
-            self.global.state.params.scale_add(1.0, &combined, -tau_eff);
-            self.global.state.buffers = buffers.finish();
-        });
-        Ok(RoundOutcome { train_loss: loss_sum / reported as f32 })
+        fold_buffer(self, round, updates, ctx, scope)
     }
 
     fn evaluate(&mut self, ctx: &FlContext) -> f32 {
@@ -216,6 +101,69 @@ impl FedAlgorithm for FedNova {
 
     fn global_model(&self) -> Option<(kemf_nn::models::ModelSpec, kemf_nn::serialize::ModelState)> {
         Some((self.global.spec, self.global.state.clone()))
+    }
+}
+
+/// FedNova's running aggregate: the normalized directions folded so
+/// far, the effective step count, and the buffer average.
+pub struct NovaFold {
+    total: f32,
+    combined: Weights,
+    tau_eff: f32,
+    buffers: WeightsAverage,
+}
+
+impl StreamingFold for FedNova {
+    type Fold = NovaFold;
+
+    fn train_batch(
+        &mut self,
+        wave: usize,
+        batch: &[usize],
+        ctx: &FlContext,
+    ) -> Result<Vec<PreparedUpdate>, EngineError> {
+        let local = LocalCfg::at(ctx, wave);
+        let mut updates = fan_out_clients(&self.global, wave, batch, ctx, &local, &|_k| None);
+        // The normalized direction d_k = w_global − w_k is anchored to the
+        // global weights the client actually started from, so it is
+        // computed here at dispatch time, not at fusion.
+        for u in &mut updates {
+            if let UpdatePayload::State(state) = &mut u.payload {
+                state.params = self.global.state.params.delta(&state.params);
+            }
+        }
+        Ok(updates)
+    }
+
+    fn begin_fold(&mut self, _round: usize, total: f32) -> NovaFold {
+        NovaFold {
+            total,
+            combined: self.global.state.params.zeros_like(),
+            tau_eff: 0.0,
+            buffers: WeightsAverage::new(&self.global.state.buffers, total),
+        }
+    }
+
+    fn fold(
+        &mut self,
+        acc: &mut NovaFold,
+        update: PreparedUpdate,
+        coeff: f32,
+    ) -> Result<(), EngineError> {
+        let delta = state_payload("FedNova", &update)?;
+        let tau = update.steps.max(1) as f32;
+        let p = coeff / acc.total;
+        acc.tau_eff += p * tau;
+        acc.combined.scale_add(1.0, &delta.params, p / tau);
+        // Buffers: weighted average, as for FedAvg.
+        acc.buffers.add(&delta.buffers, coeff);
+        Ok(())
+    }
+
+    fn finish_fold(&mut self, acc: NovaFold, _reported: usize, _ctx: &FlContext) {
+        // w ← w − τ_eff · Σ p_k d_k  (d already points from w to w_k).
+        self.global.state.params.scale_add(1.0, &acc.combined, -acc.tau_eff);
+        self.global.state.buffers = acc.buffers.finish();
     }
 }
 

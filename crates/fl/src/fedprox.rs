@@ -3,15 +3,15 @@
 //! client drift under heterogeneous data.
 
 use crate::context::FlContext;
-use crate::engine::{EngineError, FedAlgorithm, RoundOutcome};
+use crate::engine::{train_cohort_in_batches, EngineError, FedAlgorithm, RoundOutcome};
 use crate::lifecycle::{ClientPlan, ModelView, WirePayload};
 use crate::local::{add_prox_to_grads, LocalCfg};
 use crate::scheduler::PreparedUpdate;
 use crate::state::{check_model_layout, AlgorithmState, RestoreError};
-use crate::trace::{Phase, RoundScope};
+use crate::trace::RoundScope;
 use crate::weight_common::{
-    fan_out_clients, fuse_state_average, train_cohort_states, BoxedGradHook, GlobalModel,
-    StateAverage,
+    fan_out_clients, fold_buffer, state_payload, stream_round, BoxedGradHook, GlobalModel,
+    StateAverage, StreamingFold,
 };
 use kemf_nn::layer::Layer;
 use kemf_nn::models::ModelSpec;
@@ -52,54 +52,7 @@ impl FedAlgorithm for FedProx {
         ctx: &FlContext,
         scope: &mut RoundScope<'_>,
     ) -> Result<RoundOutcome, EngineError> {
-        if sampled.is_empty() {
-            return Ok(RoundOutcome { train_loss: f32::NAN });
-        }
-        let local = LocalCfg {
-            epochs: ctx.cfg.local_epochs,
-            batch: ctx.cfg.batch_size,
-            sgd: ctx.cfg.sgd_at(round),
-        };
-        // Every client's hook pulls toward this round's global weights.
-        let anchor = Arc::new(self.global.state.params.values.clone());
-        let mu = self.mu;
-        let total: f32 = sampled.iter().map(|&k| ctx.client_shard_len(k) as f32).sum();
-        let chunk = ctx.cfg.cohort_chunk(sampled.len());
-        let mut avg = StateAverage::new(&self.global.state, total);
-        let mut loss_sum = 0.0f32;
-        let mut reported = 0usize;
-        scope.phase(Phase::LocalUpdate, |c| {
-            for batch in sampled.chunks(chunk) {
-                let anchor = Arc::clone(&anchor);
-                let results = fan_out_clients(
-                    &self.global.state,
-                    self.global.spec,
-                    round,
-                    batch,
-                    ctx,
-                    &local,
-                    &move |_k| {
-                        let anchor = Arc::clone(&anchor);
-                        Some(Box::new(move |net: &mut dyn Layer| {
-                            add_prox_to_grads(net, &anchor, mu);
-                        }) as Box<dyn Fn(&mut dyn Layer) + Send + Sync>)
-                    },
-                );
-                c.clients += results.len();
-                c.steps += results.iter().map(|r| r.outcome.steps as u64).sum::<u64>();
-                c.batches = c.steps;
-                for r in &results {
-                    avg.add(&r.state, r.n_samples as f32);
-                    loss_sum += r.outcome.mean_loss;
-                    reported += 1;
-                }
-            }
-        });
-        scope.phase(Phase::Fusion, |c| {
-            c.clients = reported;
-            self.global.state = avg.finish();
-        });
-        Ok(RoundOutcome { train_loss: loss_sum / reported as f32 })
+        stream_round(self, round, sampled, ctx, scope)
     }
 
     fn train_cohort(
@@ -109,32 +62,19 @@ impl FedAlgorithm for FedProx {
         ctx: &FlContext,
         scope: &mut RoundScope<'_>,
     ) -> Result<Vec<PreparedUpdate>, EngineError> {
-        let local = LocalCfg {
-            epochs: ctx.cfg.local_epochs,
-            batch: ctx.cfg.batch_size,
-            sgd: ctx.cfg.sgd_at(wave),
-        };
-        // Clients dispatched in wave `wave` anchor to the global weights
-        // they were handed at dispatch time, exactly as in a sync round.
-        let anchor = Arc::new(self.global.state.params.values.clone());
-        let mu = self.mu;
-        let hook_for = move |_k: usize| {
-            let anchor = Arc::clone(&anchor);
-            Some(Box::new(move |net: &mut dyn Layer| {
-                add_prox_to_grads(net, &anchor, mu);
-            }) as BoxedGradHook)
-        };
-        Ok(train_cohort_states(&self.global, wave, sampled, ctx, &local, &hook_for, scope))
+        train_cohort_in_batches(self, sampled, ctx, scope, |a, batch| {
+            a.train_batch(wave, batch, ctx)
+        })
     }
 
     fn fuse(
         &mut self,
-        _round: usize,
+        round: usize,
         updates: Vec<(PreparedUpdate, f32)>,
-        _ctx: &FlContext,
+        ctx: &FlContext,
         scope: &mut RoundScope<'_>,
     ) -> Result<RoundOutcome, EngineError> {
-        fuse_state_average("FedProx", &mut self.global, updates, scope)
+        fold_buffer(self, round, updates, ctx, scope)
     }
 
     fn evaluate(&mut self, ctx: &FlContext) -> f32 {
@@ -157,6 +97,48 @@ impl FedAlgorithm for FedProx {
 
     fn global_model(&self) -> Option<(kemf_nn::models::ModelSpec, kemf_nn::serialize::ModelState)> {
         Some((self.global.spec, self.global.state.clone()))
+    }
+}
+
+impl StreamingFold for FedProx {
+    type Fold = StateAverage;
+
+    fn train_batch(
+        &mut self,
+        wave: usize,
+        batch: &[usize],
+        ctx: &FlContext,
+    ) -> Result<Vec<PreparedUpdate>, EngineError> {
+        let local = LocalCfg::at(ctx, wave);
+        // Every client's hook pulls toward the global weights it was
+        // handed at dispatch time.
+        let anchor = Arc::new(self.global.state.params.values.clone());
+        let mu = self.mu;
+        let hook_for = move |_k: usize| {
+            let anchor = Arc::clone(&anchor);
+            Some(Box::new(move |net: &mut dyn Layer| {
+                add_prox_to_grads(net, &anchor, mu);
+            }) as BoxedGradHook)
+        };
+        Ok(fan_out_clients(&self.global, wave, batch, ctx, &local, &hook_for))
+    }
+
+    fn begin_fold(&mut self, _round: usize, total: f32) -> StateAverage {
+        StateAverage::new(&self.global.state, total)
+    }
+
+    fn fold(
+        &mut self,
+        acc: &mut StateAverage,
+        update: PreparedUpdate,
+        coeff: f32,
+    ) -> Result<(), EngineError> {
+        acc.add(state_payload("FedProx", &update)?, coeff);
+        Ok(())
+    }
+
+    fn finish_fold(&mut self, acc: StateAverage, _reported: usize, _ctx: &FlContext) {
+        self.global.state = acc.finish();
     }
 }
 

@@ -25,7 +25,7 @@
 
 use crate::config::ConfigError;
 use crate::context::FlContext;
-use crate::engine::{EngineError, FedAlgorithm, RoundOutcome};
+use crate::engine::{train_cohort_in_batches, EngineError, FedAlgorithm, RoundOutcome};
 use crate::lifecycle::{ClientPlan, ModelView, WirePayload};
 use crate::local::{local_train, LocalCfg};
 use crate::scheduler::{PreparedUpdate, UpdatePayload};
@@ -228,22 +228,6 @@ impl FedAlgorithm for FedRolex {
             .collect()
     }
 
-    fn round(
-        &mut self,
-        round: usize,
-        sampled: &[usize],
-        ctx: &FlContext,
-        scope: &mut RoundScope<'_>,
-    ) -> Result<RoundOutcome, EngineError> {
-        if sampled.is_empty() {
-            return Ok(RoundOutcome { train_loss: f32::NAN });
-        }
-        // The synchronous round is exactly the asynchronous pair at
-        // staleness weight 1.0, so both modes share one code path.
-        let updates = self.train_cohort(round, sampled, ctx, scope)?;
-        self.fuse(round, updates.into_iter().map(|u| (u, 1.0)).collect(), ctx, scope)
-    }
-
     fn train_cohort(
         &mut self,
         wave: usize,
@@ -251,48 +235,31 @@ impl FedAlgorithm for FedRolex {
         ctx: &FlContext,
         scope: &mut RoundScope<'_>,
     ) -> Result<Vec<PreparedUpdate>, EngineError> {
-        if sampled.is_empty() {
-            return Ok(Vec::new());
-        }
-        let local = LocalCfg {
-            epochs: ctx.cfg.local_epochs,
-            batch: ctx.cfg.batch_size,
-            sgd: ctx.cfg.sgd_at(wave),
-        };
+        let local = LocalCfg::at(ctx, wave);
         let spec = self.global.spec;
         let cycle = self.cycle;
-        let chunk = ctx.cfg.cohort_chunk(sampled.len());
-        let mut out = Vec::with_capacity(sampled.len());
-        scope.phase(Phase::LocalUpdate, |c| {
-            for batch in sampled.chunks(chunk) {
-                let results: Vec<PreparedUpdate> = batch
-                    .par_iter()
-                    .map(|&k| {
-                        let t = (wave + k) % cycle;
-                        let sub = self.extract(t);
-                        let mut model =
-                            Model::new(ModelSpec { width: sub.params.lens[1], ..spec });
-                        model.set_state(&sub);
-                        let seed = child_seed(ctx.cfg.seed, (wave as u64) << 20 | k as u64);
-                        let shard = ctx.client_shard(k);
-                        let outcome = local_train(&mut model, &shard, &local, seed, None);
-                        PreparedUpdate {
-                            client: k,
-                            n_samples: shard.len(),
-                            steps: outcome.steps,
-                            loss: outcome.mean_loss,
-                            payload: UpdatePayload::Window { offset: t, state: model.state() },
-                            commit: None,
-                        }
-                    })
-                    .collect();
-                c.clients += results.len();
-                c.steps += results.iter().map(|r| r.steps as u64).sum::<u64>();
-                c.batches = c.steps;
-                out.extend(results);
-            }
-        });
-        Ok(out)
+        train_cohort_in_batches(self, sampled, ctx, scope, |algo, batch| {
+            Ok(batch
+                .par_iter()
+                .map(|&k| {
+                    let t = (wave + k) % cycle;
+                    let sub = algo.extract(t);
+                    let mut model = Model::new(ModelSpec { width: sub.params.lens[1], ..spec });
+                    model.set_state(&sub);
+                    let seed = child_seed(ctx.cfg.seed, (wave as u64) << 20 | k as u64);
+                    let shard = ctx.client_shard(k);
+                    let outcome = local_train(&mut model, &shard, &local, seed, None);
+                    PreparedUpdate {
+                        client: k,
+                        n_samples: shard.len(),
+                        steps: outcome.steps,
+                        loss: outcome.mean_loss,
+                        payload: UpdatePayload::Window { offset: t, state: model.state() },
+                        commit: None,
+                    }
+                })
+                .collect())
+        })
     }
 
     fn fuse(

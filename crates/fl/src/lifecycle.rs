@@ -38,8 +38,7 @@ pub struct FaultConfig {
     /// direction.
     pub drop_before_download: f32,
     /// Probability a client crashes after downloading the global state
-    /// but before reporting. Costs full downlink, zero uplink — the
-    /// failure mode the legacy `dropout_prob` knob maps onto.
+    /// but before reporting. Costs full downlink, zero uplink.
     pub drop_after_download: f32,
     /// Probability a client is a straggler this round.
     pub straggler_prob: f32,

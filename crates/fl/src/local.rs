@@ -4,6 +4,7 @@
 //! (FedProx's proximal term, SCAFFOLD's control-variate correction) and
 //! (b) how the server aggregates; the SGD loop itself is common.
 
+use crate::context::FlContext;
 use kemf_data::dataset::Dataset;
 use kemf_nn::layer::Layer;
 use kemf_nn::loss::cross_entropy;
@@ -24,6 +25,18 @@ pub struct LocalCfg {
     pub batch: usize,
     /// Optimizer settings (lr already scheduled for this round).
     pub sgd: SgdConfig,
+}
+
+impl LocalCfg {
+    /// The run's local-training settings at `round` (epochs, batch size,
+    /// and SGD with the scheduled learning rate).
+    pub fn at(ctx: &FlContext, round: usize) -> Self {
+        LocalCfg {
+            epochs: ctx.cfg.local_epochs,
+            batch: ctx.cfg.batch_size,
+            sgd: ctx.cfg.sgd_at(round),
+        }
+    }
 }
 
 /// Outcome of one client's local training.

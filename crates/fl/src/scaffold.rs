@@ -15,13 +15,16 @@
 use crate::client_store::{ClientBlob, ClientStateStore, SpillConfig, StoreError};
 use crate::config::ConfigError;
 use crate::context::FlContext;
-use crate::engine::{EngineError, FedAlgorithm, RoundOutcome};
+use crate::engine::{train_cohort_in_batches, EngineError, FedAlgorithm, RoundOutcome};
 use crate::lifecycle::{ClientPlan, ModelView, WirePayload};
 use crate::local::{add_flat_to_grads, LocalCfg};
 use crate::scheduler::{PreparedUpdate, UpdatePayload};
 use crate::state::{check_model_layout, check_tensor_dims, AlgorithmState, RestoreError};
-use crate::trace::{Phase, RoundScope};
-use crate::weight_common::{fan_out_clients, GlobalModel, StateAverage};
+use crate::trace::RoundScope;
+use crate::weight_common::{
+    fan_out_clients, fold_buffer, state_payload, stream_round, BoxedGradHook,
+    GlobalModel, StateAverage, StreamingFold,
+};
 use kemf_nn::layer::Layer;
 use kemf_nn::models::ModelSpec;
 use std::collections::HashMap;
@@ -112,108 +115,7 @@ impl FedAlgorithm for Scaffold {
         ctx: &FlContext,
         scope: &mut RoundScope<'_>,
     ) -> Result<RoundOutcome, EngineError> {
-        self.store.begin_round(round);
-        if sampled.is_empty() {
-            return Ok(RoundOutcome { train_loss: f32::NAN });
-        }
-        // SCAFFOLD's control-variate refresh divides by K·η assuming plain
-        // local SGD; momentum would inflate the effective step by
-        // 1/(1−ρ) and blow the variates up, so it is disabled locally
-        // (standard practice for SCAFFOLD implementations).
-        let mut sgd = ctx.cfg.sgd_at(round);
-        sgd.momentum = 0.0;
-        sgd.nesterov = false;
-        let local = LocalCfg {
-            epochs: ctx.cfg.local_epochs,
-            batch: ctx.cfg.batch_size,
-            sgd,
-        };
-        let eta = local.sgd.lr;
-        let dim = self.c.len();
-        let n_sampled = sampled.len();
-        let chunk = ctx.cfg.cohort_chunk(n_sampled);
-        let mut avg = StateAverage::new(&self.global.state, n_sampled as f32);
-        let mut delta_c_mean = vec![0.0f32; dim];
-        let mut loss_sum = 0.0f32;
-        scope.phase(Phase::LocalUpdate, |ctr| -> Result<(), EngineError> {
-            for batch in sampled.chunks(chunk) {
-                // Sequential fetch: the store is `&mut self` and cannot
-                // cross the parallel fan-out.
-                let mut variates = Vec::with_capacity(batch.len());
-                for &k in batch {
-                    let blob = self.store.fetch(k, |_| zero_variate(dim))?;
-                    variates.push(variate_from_blob(&blob, k, dim)?);
-                }
-                // Per-client corrections (c − c_k), shared with the
-                // parallel fan-out.
-                let corrections: Vec<Arc<Vec<f32>>> = variates
-                    .iter()
-                    .map(|ck| {
-                        Arc::new(
-                            self.c
-                                .iter()
-                                .zip(ck.iter())
-                                .map(|(&c, &ck)| c - ck)
-                                .collect::<Vec<f32>>(),
-                        )
-                    })
-                    .collect();
-                let index_of: HashMap<usize, usize> =
-                    batch.iter().enumerate().map(|(i, &k)| (k, i)).collect();
-                let corrections_ref = &corrections;
-                let index_ref = &index_of;
-                let results = fan_out_clients(
-                    &self.global.state,
-                    self.global.spec,
-                    round,
-                    batch,
-                    ctx,
-                    &local,
-                    &move |k| {
-                        let corr = Arc::clone(&corrections_ref[index_ref[&k]]);
-                        Some(Box::new(move |net: &mut dyn Layer| {
-                            add_flat_to_grads(net, &corr, 1.0);
-                        }) as Box<dyn Fn(&mut dyn Layer) + Send + Sync>)
-                    },
-                );
-                ctr.clients += results.len();
-                ctr.steps += results.iter().map(|r| r.outcome.steps as u64).sum::<u64>();
-                ctr.batches = ctr.steps;
-                // Control-variate refresh (option II), committed back to
-                // the store; sequential in sampled order so the f32 folds
-                // are bit-identical across batch sizes.
-                for (i, r) in results.iter().enumerate() {
-                    let steps = r.outcome.steps.max(1) as f32;
-                    let inv = 1.0 / (steps * eta);
-                    let g = &self.global.state.params.values;
-                    let w = &r.state.params.values;
-                    let ck = &variates[i];
-                    let mut ck_new = vec![0.0f32; dim];
-                    for j in 0..dim {
-                        ck_new[j] = ck[j] - self.c[j] + (g[j] - w[j]) * inv;
-                        delta_c_mean[j] += (ck_new[j] - ck[j]) / n_sampled as f32;
-                    }
-                    self.store.commit(
-                        r.client,
-                        ClientBlob::new().with_tensor("c", vec![dim], ck_new),
-                    )?;
-                    // Uniform mean of client states (SCAFFOLD aggregates
-                    // with global learning rate 1).
-                    avg.add(&r.state, 1.0);
-                    loss_sum += r.outcome.mean_loss;
-                }
-            }
-            Ok(())
-        })?;
-        scope.phase(Phase::Fusion, |ctr| {
-            ctr.clients = n_sampled;
-            let frac = n_sampled as f32 / ctx.cfg.n_clients as f32;
-            for (c, &d) in self.c.iter_mut().zip(delta_c_mean.iter()) {
-                *c += frac * d;
-            }
-            self.global.state = avg.finish();
-        });
-        Ok(RoundOutcome { train_loss: loss_sum / n_sampled as f32 })
+        stream_round(self, round, sampled, ctx, scope)
     }
 
     fn train_cohort(
@@ -224,89 +126,9 @@ impl FedAlgorithm for Scaffold {
         scope: &mut RoundScope<'_>,
     ) -> Result<Vec<PreparedUpdate>, EngineError> {
         self.store.begin_round(wave);
-        if sampled.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut sgd = ctx.cfg.sgd_at(wave);
-        sgd.momentum = 0.0;
-        sgd.nesterov = false;
-        let local = LocalCfg { epochs: ctx.cfg.local_epochs, batch: ctx.cfg.batch_size, sgd };
-        let eta = local.sgd.lr;
-        let dim = self.c.len();
-        let chunk = ctx.cfg.cohort_chunk(sampled.len());
-        let mut out = Vec::with_capacity(sampled.len());
-        scope.phase(Phase::LocalUpdate, |ctr| -> Result<(), EngineError> {
-            for batch in sampled.chunks(chunk) {
-                let mut variates = Vec::with_capacity(batch.len());
-                for &k in batch {
-                    let blob = self.store.fetch(k, |_| zero_variate(dim))?;
-                    variates.push(variate_from_blob(&blob, k, dim)?);
-                }
-                let corrections: Vec<Arc<Vec<f32>>> = variates
-                    .iter()
-                    .map(|ck| {
-                        Arc::new(
-                            self.c
-                                .iter()
-                                .zip(ck.iter())
-                                .map(|(&c, &ck)| c - ck)
-                                .collect::<Vec<f32>>(),
-                        )
-                    })
-                    .collect();
-                let index_of: HashMap<usize, usize> =
-                    batch.iter().enumerate().map(|(i, &k)| (k, i)).collect();
-                let corrections_ref = &corrections;
-                let index_ref = &index_of;
-                let results = fan_out_clients(
-                    &self.global.state,
-                    self.global.spec,
-                    wave,
-                    batch,
-                    ctx,
-                    &local,
-                    &move |k| {
-                        let corr = Arc::clone(&corrections_ref[index_ref[&k]]);
-                        Some(Box::new(move |net: &mut dyn Layer| {
-                            add_flat_to_grads(net, &corr, 1.0);
-                        }) as Box<dyn Fn(&mut dyn Layer) + Send + Sync>)
-                    },
-                );
-                ctr.clients += results.len();
-                ctr.steps += results.iter().map(|r| r.outcome.steps as u64).sum::<u64>();
-                ctr.batches = ctr.steps;
-                // The variate refresh is client-side work: it happens at
-                // dispatch time against the global weights and server
-                // variate the client was handed, but the store commit is
-                // deferred into the update so an evicted (or quorum-
-                // aborted) client keeps its previous variate.
-                for (i, r) in results.into_iter().enumerate() {
-                    let steps = r.outcome.steps.max(1) as f32;
-                    let inv = 1.0 / (steps * eta);
-                    let g = &self.global.state.params.values;
-                    let w = &r.state.params.values;
-                    let ck = &variates[i];
-                    let mut ck_new = vec![0.0f32; dim];
-                    let mut aux = vec![0.0f32; dim];
-                    for j in 0..dim {
-                        ck_new[j] = ck[j] - self.c[j] + (g[j] - w[j]) * inv;
-                        aux[j] = ck_new[j] - ck[j];
-                    }
-                    out.push(PreparedUpdate {
-                        client: r.client,
-                        n_samples: r.n_samples,
-                        steps: r.outcome.steps,
-                        loss: r.outcome.mean_loss,
-                        payload: UpdatePayload::StateAux { state: r.state, aux },
-                        commit: Some(
-                            ClientBlob::new().with_tensor("c", vec![dim], ck_new),
-                        ),
-                    });
-                }
-            }
-            Ok(())
-        })?;
-        Ok(out)
+        train_cohort_in_batches(self, sampled, ctx, scope, |a, batch| {
+            a.train_batch(wave, batch, ctx)
+        })
     }
 
     fn fuse(
@@ -316,51 +138,7 @@ impl FedAlgorithm for Scaffold {
         ctx: &FlContext,
         scope: &mut RoundScope<'_>,
     ) -> Result<RoundOutcome, EngineError> {
-        self.store.begin_round(round);
-        if updates.is_empty() {
-            return Ok(RoundOutcome { train_loss: f32::NAN });
-        }
-        let dim = self.c.len();
-        let reported = updates.len();
-        let total: f32 = updates.iter().map(|(_, w)| *w).sum();
-        let mut avg = StateAverage::new(&self.global.state, total);
-        let mut delta_c_mean = vec![0.0f32; dim];
-        let mut loss_sum = 0.0f32;
-        for (u, w) in updates {
-            let UpdatePayload::StateAux { state, aux } = &u.payload else {
-                return Err(EngineError::Config(ConfigError::AlgorithmSetup {
-                    algorithm: self.name(),
-                    reason: format!("client {}: expected a state+variate payload", u.client),
-                }));
-            };
-            if aux.len() != dim {
-                return Err(EngineError::Config(ConfigError::AlgorithmSetup {
-                    algorithm: self.name(),
-                    reason: format!(
-                        "client {}: variate delta has {} values, model has {dim}",
-                        u.client,
-                        aux.len()
-                    ),
-                }));
-            }
-            for (d, &a) in delta_c_mean.iter_mut().zip(aux.iter()) {
-                *d += (w * a) / total;
-            }
-            avg.add(state, w);
-            loss_sum += u.loss;
-            if let Some(blob) = u.commit {
-                self.store.commit(u.client, blob)?;
-            }
-        }
-        scope.phase(Phase::Fusion, |ctr| {
-            ctr.clients = reported;
-            let frac = reported as f32 / ctx.cfg.n_clients as f32;
-            for (c, &d) in self.c.iter_mut().zip(delta_c_mean.iter()) {
-                *c += frac * d;
-            }
-            self.global.state = avg.finish();
-        });
-        Ok(RoundOutcome { train_loss: loss_sum / reported as f32 })
+        fold_buffer(self, round, updates, ctx, scope)
     }
 
     fn evaluate(&mut self, ctx: &FlContext) -> f32 {
@@ -427,6 +205,134 @@ impl FedAlgorithm for Scaffold {
 
     fn global_model(&self) -> Option<(kemf_nn::models::ModelSpec, kemf_nn::serialize::ModelState)> {
         Some((self.global.spec, self.global.state.clone()))
+    }
+}
+
+/// SCAFFOLD's running aggregate: the uniform mean of client states and
+/// of their variate refreshes `c_k⁺ − c_k`.
+pub struct ScaffoldFold {
+    total: f32,
+    states: StateAverage,
+    delta_c_mean: Vec<f32>,
+}
+
+impl StreamingFold for Scaffold {
+    type Fold = ScaffoldFold;
+
+    fn train_batch(
+        &mut self,
+        wave: usize,
+        batch: &[usize],
+        ctx: &FlContext,
+    ) -> Result<Vec<PreparedUpdate>, EngineError> {
+        // SCAFFOLD's control-variate refresh divides by K·η assuming plain
+        // local SGD; momentum would inflate the effective step by
+        // 1/(1−ρ) and blow the variates up, so it is disabled locally
+        // (standard practice for SCAFFOLD implementations).
+        let mut local = LocalCfg::at(ctx, wave);
+        local.sgd.momentum = 0.0;
+        local.sgd.nesterov = false;
+        let eta = local.sgd.lr;
+        let dim = self.c.len();
+        // Sequential fetch: the store is `&mut self` and cannot cross the
+        // parallel fan-out.
+        let mut variates = Vec::with_capacity(batch.len());
+        for &k in batch {
+            let blob = self.store.fetch(k, |_| zero_variate(dim))?;
+            variates.push(variate_from_blob(&blob, k, dim)?);
+        }
+        // Per-client corrections (c − c_k), shared with the fan-out.
+        let corrections: Vec<Arc<Vec<f32>>> = variates
+            .iter()
+            .map(|ck| Arc::new(self.c.iter().zip(ck.iter()).map(|(&c, &ck)| c - ck).collect()))
+            .collect();
+        let index_of: HashMap<usize, usize> =
+            batch.iter().enumerate().map(|(i, &k)| (k, i)).collect();
+        let hook_for = |k: usize| {
+            let corr = Arc::clone(&corrections[index_of[&k]]);
+            Some(Box::new(move |net: &mut dyn Layer| {
+                add_flat_to_grads(net, &corr, 1.0);
+            }) as BoxedGradHook)
+        };
+        let mut updates = fan_out_clients(&self.global, wave, batch, ctx, &local, &hook_for);
+        // The variate refresh (option II) is client-side work against the
+        // global weights and server variate the client was handed; the
+        // store commit is deferred into the update so an evicted (or
+        // quorum-aborted) client keeps its previous variate.
+        for (u, ck) in updates.iter_mut().zip(&variates) {
+            let inv = 1.0 / (u.steps.max(1) as f32 * eta);
+            let g = &self.global.state.params.values;
+            let w = &state_payload("SCAFFOLD", u)?.params.values;
+            let mut ck_new = vec![0.0f32; dim];
+            let mut aux = vec![0.0f32; dim];
+            for j in 0..dim {
+                ck_new[j] = ck[j] - self.c[j] + (g[j] - w[j]) * inv;
+                aux[j] = ck_new[j] - ck[j];
+            }
+            let payload = std::mem::replace(&mut u.payload, UpdatePayload::Empty);
+            if let UpdatePayload::State(state) = payload {
+                u.payload = UpdatePayload::StateAux { state, aux };
+            }
+            u.commit = Some(ClientBlob::new().with_tensor("c", vec![dim], ck_new));
+        }
+        Ok(updates)
+    }
+
+    /// Uniform mean of client states (SCAFFOLD aggregates with global
+    /// learning rate 1): each update's coefficient is its staleness
+    /// weight alone.
+    fn coeff(_n_samples: usize, weight: f32) -> f32 {
+        weight
+    }
+
+    fn begin_fold(&mut self, round: usize, total: f32) -> ScaffoldFold {
+        self.store.begin_round(round);
+        ScaffoldFold {
+            total,
+            states: StateAverage::new(&self.global.state, total),
+            delta_c_mean: vec![0.0; self.c.len()],
+        }
+    }
+
+    fn fold(
+        &mut self,
+        acc: &mut ScaffoldFold,
+        update: PreparedUpdate,
+        coeff: f32,
+    ) -> Result<(), EngineError> {
+        let dim = self.c.len();
+        let UpdatePayload::StateAux { state, aux } = &update.payload else {
+            return Err(EngineError::Config(ConfigError::AlgorithmSetup {
+                algorithm: self.name(),
+                reason: format!("client {}: expected a state+variate payload", update.client),
+            }));
+        };
+        if aux.len() != dim {
+            return Err(EngineError::Config(ConfigError::AlgorithmSetup {
+                algorithm: self.name(),
+                reason: format!(
+                    "client {}: variate delta has {} values, model has {dim}",
+                    update.client,
+                    aux.len()
+                ),
+            }));
+        }
+        for (d, &a) in acc.delta_c_mean.iter_mut().zip(aux.iter()) {
+            *d += (coeff * a) / acc.total;
+        }
+        acc.states.add(state, coeff);
+        if let Some(blob) = update.commit {
+            self.store.commit(update.client, blob)?;
+        }
+        Ok(())
+    }
+
+    fn finish_fold(&mut self, acc: ScaffoldFold, reported: usize, ctx: &FlContext) {
+        let frac = reported as f32 / ctx.cfg.n_clients as f32;
+        for (c, &d) in self.c.iter_mut().zip(acc.delta_c_mean.iter()) {
+            *c += frac * d;
+        }
+        self.global.state = acc.states.finish();
     }
 }
 

@@ -36,6 +36,7 @@
 //! fusion begins.
 
 use serde::{DeError, Deserialize, Serialize, Value};
+use std::ops::RangeInclusive;
 use std::time::Instant;
 
 /// A round-lifecycle phase. One span is emitted per phase per round
@@ -95,6 +96,27 @@ impl Phase {
             Phase::Eval => "eval",
             Phase::Round => "round",
         }
+    }
+
+    /// How many spans of each phase one round emits, as an inclusive
+    /// range per entry of [`Phase::ALL`]: exactly one each of sample,
+    /// broadcast, upload, eval and round; `buffer` only in async mode;
+    /// `fusion` only when the round met its quorum; `local_update` only
+    /// when quorum was met in sync mode, and at most once in async mode
+    /// (a cycle trains its wave whether or not its buffer reached
+    /// quorum, and an empty wave trains nothing).
+    pub fn expected(is_async: bool, quorum_met: bool) -> [(Phase, RangeInclusive<usize>); 8] {
+        let exactly = |present: bool| usize::from(present)..=usize::from(present);
+        Phase::ALL.map(|phase| {
+            let range = match phase {
+                Phase::Buffer => exactly(is_async),
+                Phase::Fusion => exactly(quorum_met),
+                Phase::LocalUpdate if is_async => 0..=1,
+                Phase::LocalUpdate => exactly(quorum_met),
+                _ => exactly(true),
+            };
+            (phase, range)
+        })
     }
 
     /// Inverse of [`Phase::name`].
@@ -388,6 +410,30 @@ impl RunTrace {
         self.spans.iter().map(|s| s.round + 1).max().unwrap_or(0)
     }
 
+    /// Check every recorded round's span counts against
+    /// [`Phase::expected`], reading each round's quorum outcome from its
+    /// `round` span. Returns the first violation.
+    pub fn check_phases(&self, is_async: bool) -> Result<(), String> {
+        for round in 0..self.rounds() {
+            let spans = self.round_spans(round);
+            let quorum_met = spans
+                .iter()
+                .find(|s| s.phase == Phase::Round)
+                .map(|s| s.counters.quorum_met)
+                .ok_or_else(|| format!("round {round} has no round span"))?;
+            for (phase, range) in Phase::expected(is_async, quorum_met) {
+                let n = spans.iter().filter(|s| s.phase == phase).count();
+                if !range.contains(&n) {
+                    return Err(format!(
+                        "round {round}: {n} {} span(s), expected {range:?}",
+                        phase.name()
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// One JSON object per line, one line per span — the export format
     /// plotting pipelines and the CI smoke test consume.
     pub fn to_jsonl(&self) -> String {
@@ -552,6 +598,35 @@ mod tests {
             wall_s,
             counters: Counters { steps, batches: steps, quorum_met: true, ..Default::default() },
         }
+    }
+
+    #[test]
+    fn check_phases_follows_the_round_mode_and_quorum() {
+        let spans_of = |phases: &[Phase], quorum_met: bool| {
+            phases
+                .iter()
+                .map(|&p| Span {
+                    round: 0,
+                    phase: p,
+                    wall_s: 0.0,
+                    counters: Counters { quorum_met, ..Default::default() },
+                })
+                .collect::<Vec<_>>()
+        };
+        let sync_full = RunTrace { spans: spans_of(&Phase::ALL, true) };
+        assert!(sync_full.check_phases(true).is_ok());
+        let err = sync_full.check_phases(false).unwrap_err();
+        assert!(err.contains("buffer"), "{err}");
+        let engine_only =
+            [Phase::Sample, Phase::Broadcast, Phase::Upload, Phase::Eval, Phase::Round];
+        let aborted = RunTrace { spans: spans_of(&engine_only, false) };
+        assert!(aborted.check_phases(false).is_ok());
+        // An async cycle may train its wave even when its buffer aborts.
+        let mut trained = engine_only.to_vec();
+        trained.extend([Phase::LocalUpdate, Phase::Buffer]);
+        assert!(RunTrace { spans: spans_of(&trained, false) }.check_phases(true).is_ok());
+        let err = RunTrace { spans: spans_of(&engine_only, true) }.check_phases(false).unwrap_err();
+        assert!(err.contains("local_update"), "{err}");
     }
 
     #[test]

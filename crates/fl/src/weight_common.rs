@@ -1,13 +1,16 @@
 //! Shared plumbing for the weight-sharing baselines (FedAvg, FedProx,
 //! FedNova, SCAFFOLD): a global model holder with evaluation, the
-//! parallel client-update fan-out, and streaming weighted averages that
-//! let a round fold results in as they arrive instead of holding every
-//! client state until aggregation.
+//! parallel client-update fan-out, and the one round path they share.
+//! Each of them implements [`StreamingFold`] — one batch of local
+//! training plus a streaming fold over client updates — and the drivers
+//! here turn that into `fuse` and a synchronous `round` that folds each
+//! cohort batch in as it arrives instead of holding every client state
+//! until aggregation.
 
 use crate::config::ConfigError;
 use crate::context::FlContext;
-use crate::engine::{EngineError, RoundOutcome};
-use crate::local::{local_train, LocalCfg, LocalOutcome};
+use crate::engine::{train_in_batches, EngineError, FedAlgorithm, RoundOutcome};
+use crate::local::{local_train, LocalCfg};
 use crate::scheduler::{PreparedUpdate, UpdatePayload};
 use crate::trace::{Phase, RoundScope};
 use kemf_nn::layer::Layer;
@@ -51,37 +54,26 @@ impl GlobalModel {
 /// [`fan_out_clients`] (boxed so it can cross the parallel fan-out).
 pub type BoxedGradHook = Box<dyn Fn(&mut dyn Layer) + Send + Sync>;
 
-/// One client's round result.
-pub struct ClientResult {
-    /// Client index.
-    pub client: usize,
-    /// Post-training transmitted state.
-    pub state: ModelState,
-    /// Local sample count (FedAvg weighting).
-    pub n_samples: usize,
-    /// Steps/loss bookkeeping.
-    pub outcome: LocalOutcome,
-}
-
-/// Run local training on every sampled client in parallel, starting each
-/// from the global state. `hook_for` builds the per-client gradient hook
-/// (None for FedAvg/FedNova).
+/// Run local training on every client of `batch` in parallel, starting
+/// each from the global state, and return one update per client in
+/// batch order whose payload is the post-training model state.
+/// `hook_for` builds the per-client gradient hook (None for
+/// FedAvg/FedNova).
 pub fn fan_out_clients(
-    global: &ModelState,
-    spec: ModelSpec,
-    round: usize,
-    sampled: &[usize],
+    global: &GlobalModel,
+    wave: usize,
+    batch: &[usize],
     ctx: &FlContext,
     local: &LocalCfg,
     hook_for: &(dyn Fn(usize) -> Option<BoxedGradHook> + Sync),
-) -> Vec<ClientResult> {
-    sampled
+) -> Vec<PreparedUpdate> {
+    batch
         .par_iter()
         .map(|&k| {
-            let mut model = Model::new(spec);
-            model.set_state(global);
+            let mut model = Model::new(global.spec);
+            model.set_state(&global.state);
             let hook = hook_for(k);
-            let seed = child_seed(ctx.cfg.seed, (round as u64) << 20 | k as u64);
+            let seed = child_seed(ctx.cfg.seed, (wave as u64) << 20 | k as u64);
             let shard = ctx.client_shard(k);
             let outcome = local_train(
                 &mut model,
@@ -90,93 +82,157 @@ pub fn fan_out_clients(
                 seed,
                 hook.as_deref().map(|h| h as &dyn Fn(&mut dyn Layer)),
             );
-            ClientResult { client: k, state: model.state(), n_samples: shard.len(), outcome }
+            PreparedUpdate {
+                client: k,
+                n_samples: shard.len(),
+                steps: outcome.steps,
+                loss: outcome.mean_loss,
+                payload: UpdatePayload::State(model.state()),
+                commit: None,
+            }
         })
         .collect()
 }
 
-/// Shared `FedAlgorithm::train_cohort` body for algorithms whose update
-/// payload is the plain post-training model state (FedAvg, FedProx,
-/// FedDF): fan the cohort out exactly like the synchronous round's
-/// local-update phase — same chunking, same seeds, same counters — but
-/// return the results as [`PreparedUpdate`]s instead of folding them.
-pub fn train_cohort_states(
-    global: &GlobalModel,
-    wave: usize,
-    sampled: &[usize],
-    ctx: &FlContext,
-    local: &LocalCfg,
-    hook_for: &(dyn Fn(usize) -> Option<BoxedGradHook> + Sync),
-    scope: &mut RoundScope<'_>,
-) -> Vec<PreparedUpdate> {
-    if sampled.is_empty() {
-        return Vec::new();
+/// The model-state payload of an update, or a typed error naming the
+/// client whose payload has the wrong kind.
+pub fn state_payload<'a>(
+    algorithm: &str,
+    update: &'a PreparedUpdate,
+) -> Result<&'a ModelState, EngineError> {
+    match &update.payload {
+        UpdatePayload::State(state) => Ok(state),
+        _ => Err(EngineError::Config(ConfigError::AlgorithmSetup {
+            algorithm: algorithm.into(),
+            reason: format!("client {}: expected a model-state update payload", update.client),
+        })),
     }
-    let chunk = ctx.cfg.cohort_chunk(sampled.len());
-    let mut out = Vec::with_capacity(sampled.len());
-    scope.phase(Phase::LocalUpdate, |c| {
-        for batch in sampled.chunks(chunk) {
-            let results =
-                fan_out_clients(&global.state, global.spec, wave, batch, ctx, local, hook_for);
-            c.clients += results.len();
-            c.steps += results.iter().map(|r| r.outcome.steps as u64).sum::<u64>();
-            c.batches = c.steps;
-            for r in results {
-                out.push(PreparedUpdate {
-                    client: r.client,
-                    n_samples: r.n_samples,
-                    steps: r.outcome.steps,
-                    loss: r.outcome.mean_loss,
-                    payload: UpdatePayload::State(r.state),
-                    commit: None,
-                });
-            }
-        }
-    });
-    out
 }
 
-/// Shared `FedAlgorithm::fuse` body for the sample-count-weighted state
-/// average (FedAvg, FedProx): fold the buffered updates at coefficient
-/// `weight × n_samples`. With every staleness weight at `1.0` the
-/// coefficients, their total, and the fold order all equal the
-/// synchronous round's — the fused state is bit-identical.
-pub fn fuse_state_average(
-    algorithm: &str,
-    global: &mut GlobalModel,
+/// A weight-sharing algorithm whose server fusion is a streaming fold
+/// over client updates. It supplies one batch of local training (which
+/// `train_cohort` runs under [`crate::engine::train_cohort_in_batches`])
+/// and the three fold steps, from which [`fold_buffer`] and
+/// [`stream_round`] build `fuse` and `round`, so the buffered and the
+/// synchronous path run the same arithmetic.
+pub trait StreamingFold: FedAlgorithm {
+    /// The running fusion accumulator.
+    type Fold;
+
+    /// Train one cohort batch against the current global model: one
+    /// update per client, in batch order.
+    fn train_batch(
+        &mut self,
+        wave: usize,
+        batch: &[usize],
+        ctx: &FlContext,
+    ) -> Result<Vec<PreparedUpdate>, EngineError>;
+
+    /// An update's fold coefficient from its sample count and staleness
+    /// weight. The default weights by sample count; at weight `1.0` it
+    /// is exactly the sample count.
+    fn coeff(n_samples: usize, weight: f32) -> f32 {
+        weight * n_samples as f32
+    }
+
+    /// Open the fold of `round` over updates whose coefficients sum to
+    /// `total` (positive; computed over the whole buffer or cohort
+    /// before any update folds in).
+    fn begin_fold(&mut self, round: usize, total: f32) -> Self::Fold;
+
+    /// Fold one update in at coefficient `coeff`, applying its deferred
+    /// store commit.
+    fn fold(
+        &mut self,
+        acc: &mut Self::Fold,
+        update: PreparedUpdate,
+        coeff: f32,
+    ) -> Result<(), EngineError>;
+
+    /// Apply the fold of `reported` updates to the global model (runs
+    /// inside the [`Phase::Fusion`] span).
+    fn finish_fold(&mut self, acc: Self::Fold, reported: usize, ctx: &FlContext);
+}
+
+/// `FedAlgorithm::fuse` of a [`StreamingFold`] algorithm: fold the
+/// buffer in arrival order at coefficient `coeff(n_samples, weight)`.
+/// With every weight at `1.0` the coefficients, their total and the
+/// fold order equal the synchronous round's, so the fused state is
+/// bit-identical.
+pub fn fold_buffer<A: StreamingFold>(
+    algo: &mut A,
+    round: usize,
     updates: Vec<(PreparedUpdate, f32)>,
+    ctx: &FlContext,
     scope: &mut RoundScope<'_>,
 ) -> Result<RoundOutcome, EngineError> {
     if updates.is_empty() {
         return Ok(RoundOutcome { train_loss: f32::NAN });
     }
-    let total: f32 = updates.iter().map(|(u, w)| w * u.n_samples as f32).sum();
-    let mut avg = StateAverage::new(&global.state, total);
-    let mut loss_sum = 0.0f32;
+    let total: f32 = updates.iter().map(|(u, w)| A::coeff(u.n_samples, *w)).sum();
+    let mut acc = algo.begin_fold(round, total);
     let reported = updates.len();
-    for (u, w) in &updates {
-        let UpdatePayload::State(state) = &u.payload else {
-            return Err(EngineError::Config(ConfigError::AlgorithmSetup {
-                algorithm: algorithm.into(),
-                reason: format!("client {}: expected a model-state update payload", u.client),
-            }));
-        };
-        avg.add(state, w * u.n_samples as f32);
+    let mut loss_sum = 0.0f32;
+    for (u, w) in updates {
         loss_sum += u.loss;
+        let coeff = A::coeff(u.n_samples, w);
+        algo.fold(&mut acc, u, coeff)?;
     }
-    scope.phase(Phase::Fusion, |c| {
-        c.clients = reported;
-        global.state = avg.finish();
-    });
-    Ok(RoundOutcome { train_loss: loss_sum / reported as f32 })
+    Ok(finish(algo, acc, reported, loss_sum, ctx, scope))
 }
 
-/// Mean local loss across client results.
-pub fn mean_loss(results: &[ClientResult]) -> f32 {
-    if results.is_empty() {
-        return 0.0;
+/// The streaming synchronous round of a [`StreamingFold`] algorithm:
+/// the coefficient total comes from the cohort's shard sizes up front,
+/// then each [`crate::config::FlConfig::cohort_batch`] of clients trains
+/// and folds in (weight `1.0`, sampled order) before the next batch
+/// starts. Only one batch of client states is alive at a time, and any
+/// batch size gives the same bits.
+pub fn stream_round<A: StreamingFold>(
+    algo: &mut A,
+    round: usize,
+    sampled: &[usize],
+    ctx: &FlContext,
+    scope: &mut RoundScope<'_>,
+) -> Result<RoundOutcome, EngineError> {
+    if sampled.is_empty() {
+        // Nothing reported: no loss exists and the global state must
+        // not move (an average over zero clients has no value).
+        return Ok(RoundOutcome { train_loss: f32::NAN });
     }
-    results.iter().map(|r| r.outcome.mean_loss).sum::<f32>() / results.len() as f32
+    let total: f32 = sampled.iter().map(|&k| A::coeff(ctx.client_shard_len(k), 1.0)).sum();
+    let mut acc = algo.begin_fold(round, total);
+    let mut loss_sum = 0.0f32;
+    train_in_batches(
+        algo,
+        sampled,
+        ctx,
+        scope,
+        |a, batch| a.train_batch(round, batch, ctx),
+        |a, updates| {
+            for u in updates {
+                loss_sum += u.loss;
+                let coeff = A::coeff(u.n_samples, 1.0);
+                a.fold(&mut acc, u, coeff)?;
+            }
+            Ok(())
+        },
+    )?;
+    Ok(finish(algo, acc, sampled.len(), loss_sum, ctx, scope))
+}
+
+fn finish<A: StreamingFold>(
+    algo: &mut A,
+    acc: A::Fold,
+    reported: usize,
+    loss_sum: f32,
+    ctx: &FlContext,
+    scope: &mut RoundScope<'_>,
+) -> RoundOutcome {
+    scope.phase(Phase::Fusion, |c| {
+        c.clients = reported;
+        algo.finish_fold(acc, reported, ctx);
+    });
+    RoundOutcome { train_loss: loss_sum / reported as f32 }
 }
 
 /// Streaming weighted average over [`Weights`] snapshots.

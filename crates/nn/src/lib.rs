@@ -20,10 +20,8 @@
 //! ```
 
 pub mod activation;
-pub mod adam;
 pub mod checkpoint;
 pub mod cnn_util;
-pub mod dropout;
 pub mod groupnorm;
 pub mod conv2d;
 pub mod layer;
@@ -46,7 +44,6 @@ pub mod prelude {
     pub use crate::model::Model;
     pub use crate::models::{Arch, ModelSpec};
     pub use crate::sequential::NormKind;
-    pub use crate::adam::{Adam, AdamConfig};
     pub use crate::optim::{LrSchedule, Sgd, SgdConfig};
     pub use crate::serialize::{ModelState, Weights};
 }

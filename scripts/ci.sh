@@ -5,6 +5,10 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
+# Every crate's tests, not just the root package's: the kemf-fl units
+# (cohort-batch bit-identity, corrupt-checkpoint errors), the
+# zero-allocation test and the SIMD-tier proptests live in member crates.
+cargo test --workspace -q
 cargo clippy --workspace -- -D warnings
 
 # Kernel smoke: run every GEMM/int8 bench code path with a tiny time
@@ -15,8 +19,10 @@ cargo run --release -p kemf-bench --bin bench_kernels -- --smoke
 
 # Population smoke: equal 1000-client cohorts sampled from 100k- and
 # 50k-client populations must peak at the same RSS (memory is O(cohort),
-# not O(population)), and FedKEMF with client models spilled to disk
-# must be bit-identical to the eager in-memory run. Asserts internally.
+# not O(population)), streaming that cohort in batches of 128 must peak
+# at most half as high as holding it whole (same history), and FedKEMF
+# with client models spilled to disk must be bit-identical to the eager
+# in-memory run. Asserts internally.
 cargo run --release -p kemf-bench --bin bench_population -- --smoke
 
 # Async smoke: the buffered-round equivalence anchor (buffer == cohort +
@@ -31,6 +37,8 @@ cargo run --release -p kemf-bench --bin bench_async -- --smoke
 # target dir so the default cache stays warm.
 RUSTFLAGS="-C target-cpu=native" CARGO_TARGET_DIR=target/native \
     cargo test -q --release
+RUSTFLAGS="-C target-cpu=native" CARGO_TARGET_DIR=target/native \
+    cargo test --workspace -q --release
 
 # Smoke-run the fault-injection example: exercises the client lifecycle
 # (drops, stragglers, upload retries, quorum aborts) end to end.
@@ -52,9 +60,10 @@ cargo run --release -p kemf-bench --bin bench_transport -- --smoke
 # ≥2× server while billing logit-sized payloads. Asserts internally.
 cargo run --release -p kemf-bench --bin bench_rolex -- --smoke
 
-# Trace smoke: a recorded run must export round-lifecycle JSONL with one
-# span per phase. The example itself asserts the export round-trips and
-# every round is complete; here we check the artifact landed.
+# Trace smoke: a recorded run must export round-lifecycle JSONL. The
+# example itself asserts the export round-trips and every round carries
+# exactly the spans `Phase::expected` calls for (no `buffer` in sync
+# rounds); here we check the artifact landed.
 trace_file=target/trace_smoke.jsonl
 rm -f "$trace_file"
 KEMF_TRACE="$trace_file" cargo run --release --example quickstart

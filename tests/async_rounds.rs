@@ -5,7 +5,8 @@
 //! order, so the asynchronous history must serialize byte-for-byte
 //! identically to the synchronous one — for every algorithm in the
 //! stack, including the FedKEMF/FedMD distillation paths. On top of the
-//! anchor: staleness-cap eviction under a real network model, and
+//! anchor: cohort batching that changes memory but never math,
+//! staleness-cap eviction under a real network model, and
 //! kill-and-resume byte-identity with in-flight updates in the queue.
 
 use fedkemf::core::fedkemf::{FedKemf, FedKemfConfig};
@@ -59,6 +60,34 @@ fn temp_dir(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// `cohort_batch` is a memory knob only: for every algorithm, streaming
+/// the cohort one client or three clients at a time reproduces the
+/// unbatched history bit for bit — through the synchronous round and
+/// through `train_cohort` + `fuse` at a full, fresh buffer.
+#[test]
+fn cohort_batching_is_bit_identical_for_every_algorithm() {
+    let history = |idx: usize, batch: Option<usize>, buffered: bool| {
+        let (mut ctx, task) = world(104, 3);
+        ctx.cfg.cohort_batch = batch;
+        let mut algos = all_algorithms(&ctx, &task);
+        let mut algo = algos.swap_remove(idx);
+        let opts = if buffered {
+            RunOptions::new().async_rounds(AsyncConfig::new(ctx.cfg.sampled_per_round()))
+        } else {
+            RunOptions::new()
+        };
+        let history = Engine::run(algo.as_mut(), &ctx, opts).unwrap().history;
+        (algo.name(), history.to_json())
+    };
+    for idx in 0..9 {
+        let (name, whole) = history(idx, None, false);
+        for batch in [Some(1), Some(3)] {
+            assert_eq!(whole, history(idx, batch, false).1, "{name}: sync, batch {batch:?}");
+        }
+        assert_eq!(whole, history(idx, Some(3), true).1, "{name}: buffered, batch 3");
+    }
 }
 
 /// The anchor: `buffer_size == cohort` + zero delay ⇒ the async history

@@ -49,20 +49,11 @@ impl FedAlgorithm for Probe {
     fn client_plans(&self, _round: usize, sampled: &[usize]) -> Vec<ClientPlan> {
         ClientPlan::uniform(sampled, ModelView::Full, PROBE_PAYLOAD)
     }
-    fn round(
-        &mut self,
-        _round: usize,
-        _sampled: &[usize],
-        _ctx: &FlContext,
-        _scope: &mut RoundScope<'_>,
-    ) -> Result<RoundOutcome, EngineError> {
-        Ok(RoundOutcome { train_loss: 1.0 })
-    }
     fn evaluate(&mut self, _ctx: &FlContext) -> f32 {
         0.5
     }
-    // The async arm: one free update per reporter, so the fault matrix
-    // sweeps buffered rounds at the same zero training cost.
+    // One free update per reporter, so the fault matrix sweeps sync and
+    // buffered rounds at zero training cost.
     fn train_cohort(
         &mut self,
         _wave: usize,
@@ -203,20 +194,21 @@ fn fault_injection_is_deterministic_per_seed() {
     assert_ne!(a.to_json(), b.to_json());
 }
 
-/// The acceptance criterion for the legacy dropout bug: with
-/// `dropout_prob > 0`, recorded downlink covers the *full broadcast set*
-/// (sampled × payload) and strictly exceeds the thinned uplink.
+/// The acceptance criterion for the dropout byte-accounting bug: with
+/// `drop_after_download > 0`, recorded downlink covers the *full
+/// broadcast set* (sampled × payload) and strictly exceeds the thinned
+/// uplink.
 #[test]
 fn dropout_downlink_covers_full_broadcast_set() {
     let mut ctx = probe_ctx(93);
-    ctx.cfg.dropout_prob = 0.5;
+    ctx.cfg.faults.drop_after_download = 0.5;
     let sampled = ctx.cfg.sampled_per_round() as u64;
     let mut probe = Probe;
     let payload = PROBE_PAYLOAD;
     let h = run(&mut probe, &ctx);
     let down: u64 = h.records.iter().map(|r| r.down_bytes).sum();
     let up: u64 = h.records.iter().map(|r| r.up_bytes).sum();
-    // Legacy dropout fires after download: every sampled client is
+    // Dropout fires after download: every sampled client is
     // charged the broadcast, every round.
     assert_eq!(down, 6 * sampled * payload.down_bytes);
     // Uplink is thinned by the dropped clients. With a symmetric payload

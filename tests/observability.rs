@@ -8,7 +8,7 @@
 
 use fedkemf::core::fedkemf::{FedKemf, FedKemfConfig};
 use fedkemf::core::resource::uniform_specs;
-use fedkemf::fl::engine::Engine;
+use fedkemf::fl::engine::{train_cohort_in_batches, Engine};
 use fedkemf::fl::fedavg::FedAvg;
 use fedkemf::fl::lifecycle::RoundPlan;
 use fedkemf::nn::models::Arch;
@@ -187,15 +187,35 @@ impl FedAlgorithm for Probe {
             WirePayload { down_bytes: 1000, up_bytes: 100 },
         )
     }
-    fn round(
+    fn train_cohort(
+        &mut self,
+        _wave: usize,
+        sampled: &[usize],
+        ctx: &FlContext,
+        scope: &mut RoundScope<'_>,
+    ) -> Result<Vec<PreparedUpdate>, EngineError> {
+        train_cohort_in_batches(self, sampled, ctx, scope, |_, batch| {
+            Ok(batch
+                .iter()
+                .map(|&client| PreparedUpdate {
+                    client,
+                    n_samples: 1,
+                    steps: 0,
+                    loss: 1.0,
+                    payload: UpdatePayload::Empty,
+                    commit: None,
+                })
+                .collect())
+        })
+    }
+    fn fuse(
         &mut self,
         _round: usize,
-        sampled: &[usize],
+        updates: Vec<(PreparedUpdate, f32)>,
         _ctx: &FlContext,
         scope: &mut RoundScope<'_>,
     ) -> Result<RoundOutcome, EngineError> {
-        scope.phase(Phase::LocalUpdate, |c| c.clients = sampled.len());
-        scope.phase(Phase::Fusion, |c| c.clients = sampled.len());
+        scope.phase(Phase::Fusion, |c| c.clients = updates.len());
         Ok(RoundOutcome { train_loss: 1.0 })
     }
     fn evaluate(&mut self, _ctx: &FlContext) -> f32 {
@@ -243,4 +263,36 @@ fn quorum_aborted_rounds_skip_algorithm_phases() {
         }
     }
     assert!(aborted > 0, "80% pre-download dropout must abort some 4-quorum round");
+}
+
+/// Every round of a synchronous and of a buffered-asynchronous run
+/// carries exactly the spans [`Phase::expected`] calls for: one
+/// `local_update` however many cohort batches the round streams
+/// through, and one `fusion` per quorum-met round.
+#[test]
+fn sync_and_async_runs_emit_the_expected_phases() {
+    let faults = FaultConfig { drop_before_download: 0.4, min_quorum: 2, ..Default::default() };
+    let traced = |round_mode: RoundMode| {
+        let (mut ctx, mut algo) = fedavg_world(75);
+        ctx.cfg.rounds = 6;
+        ctx.cfg.cohort_batch = Some(1);
+        let opts = RunOptions::new().faults(faults).round_mode(round_mode).record_trace();
+        let history = Engine::run(&mut algo, &ctx, opts).unwrap().history;
+        let quorum: Vec<bool> = history.records.iter().map(|r| r.quorum_met).collect();
+        assert!(quorum.contains(&true) && quorum.contains(&false), "{quorum:?}");
+        history.trace.unwrap()
+    };
+
+    let sync = traced(RoundMode::Sync);
+    sync.check_phases(false).unwrap();
+    assert!(sync.check_phases(true).is_err(), "sync rounds emit no buffer span");
+    for span in sync.spans.iter().filter(|s| s.phase == Phase::LocalUpdate) {
+        // Two reporters streamed one at a time, counted in one span.
+        assert_eq!(span.counters.clients, 2);
+        assert_eq!(span.counters.batches, span.counters.steps);
+    }
+
+    let buffered = traced(RoundMode::Async(AsyncConfig::new(2)));
+    buffered.check_phases(true).unwrap();
+    assert!(buffered.check_phases(false).is_err(), "async cycles emit a buffer span");
 }

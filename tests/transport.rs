@@ -61,14 +61,34 @@ impl FedAlgorithm for Probe {
             WirePayload { down_bytes: 1000, up_bytes: 100 },
         )
     }
-    fn round(
+    fn train_cohort(
+        &mut self,
+        _wave: usize,
+        sampled: &[usize],
+        _ctx: &FlContext,
+        _scope: &mut RoundScope<'_>,
+    ) -> Result<Vec<PreparedUpdate>, EngineError> {
+        Ok(sampled
+            .iter()
+            .map(|&client| PreparedUpdate {
+                client,
+                n_samples: 1,
+                steps: 0,
+                loss: 1.0,
+                payload: UpdatePayload::Empty,
+                commit: None,
+            })
+            .collect())
+    }
+    fn fuse(
         &mut self,
         _round: usize,
-        _sampled: &[usize],
+        updates: Vec<(PreparedUpdate, f32)>,
         _ctx: &FlContext,
         _scope: &mut RoundScope<'_>,
     ) -> Result<RoundOutcome, EngineError> {
-        Ok(RoundOutcome { train_loss: 1.0 })
+        let loss = if updates.is_empty() { f32::NAN } else { 1.0 };
+        Ok(RoundOutcome { train_loss: loss })
     }
     fn evaluate(&mut self, _ctx: &FlContext) -> f32 {
         0.5
