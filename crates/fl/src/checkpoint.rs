@@ -6,10 +6,12 @@
 //! ([`kemf_nn::checkpoint::CheckpointBundle`]): the algorithm's
 //! [`AlgorithmState`] maps onto the bundle's model/array/scalar
 //! sections, and the engine's own metadata — config fingerprint, next
-//! round index, RNG verification probes, and the history so far — is
-//! binary-encoded into the bundle's opaque `meta` section (binary, not
-//! JSON, so every `f32` bit pattern survives and the resumed history
-//! re-serializes byte-for-byte).
+//! round index, RNG verification probes, the history so far and, for
+//! buffered-async runs, the scheduler's clock and in-flight updates — is
+//! encoded with [`kemf_nn::codec`] into the bundle's opaque `meta`
+//! section as run meta v4 ([`RUN_META_VERSION`]). Binary, not JSON, so
+//! every `f32` bit pattern survives and the resumed history
+//! re-serializes byte-for-byte.
 //!
 //! **Resume semantics.** The engine does not serialize raw RNG
 //! internals (the vendored `StdRng` keeps its state private, matching
@@ -34,27 +36,19 @@ use crate::lifecycle::FaultConfig;
 use crate::metrics::RoundRecord;
 use crate::scheduler::{PendingEvent, PreparedUpdate, SchedulerState, UpdatePayload};
 use crate::state::{AlgorithmState, TensorBlob};
-use kemf_nn::checkpoint::{load_bundle, save_bundle, CheckpointBundle};
+use kemf_nn::checkpoint::{atomic_write, encode_bundle_parts, load_bundle, CheckpointBundle};
+use kemf_nn::codec::{invalid, Fnv1a, Reader, Writer};
 use kemf_nn::optim::LrSchedule;
-use kemf_nn::serialize::{ModelState, Weights};
 use std::fmt;
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 
 /// Format version of the engine metadata inside the bundle's `meta`
-/// section. Synchronous runs still write exactly this version (and
-/// byte-identical files to every earlier build); buffered-asynchronous
-/// runs write [`ASYNC_CHECKPOINT_VERSION`], which appends the
-/// scheduler's virtual clock and in-flight event queue after the v1
-/// fields. Both versions load.
-pub const RUN_CHECKPOINT_VERSION: u32 = 1;
-
-/// Meta version written when the checkpoint carries async scheduler
-/// state. v3 adds the frozen per-event uplink byte count (and the
-/// windowed sub-model payload variant) to each in-flight event; the
-/// short-lived v2 format, which lacked per-event billing, is refused on
-/// load rather than silently resumed with zeroed uplink bytes.
-pub const ASYNC_CHECKPOINT_VERSION: u32 = 3;
+/// section. Synchronous and buffered-asynchronous runs write the same
+/// layout; the async scheduler's virtual clock and in-flight event queue
+/// sit behind a presence byte at the end. Earlier versions (1–3) are
+/// refused with a message naming the expected and found versions.
+pub const RUN_META_VERSION: u32 = 4;
 
 /// File-name prefix/suffix of round checkpoints inside a checkpoint
 /// directory: `round_00004.ckpt` holds the state *after* 4 completed
@@ -200,167 +194,53 @@ pub fn run_fingerprint(
         finite("faults", "round_deadline_s", d)?;
     }
 
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
     let cfg_id = FlConfig { rounds: 0, ..*cfg };
     let cfg_json = serde_json::to_string(&cfg_id)
         .map_err(|e| CheckpointError::Serialize { what: "config", detail: e.to_string() })?;
     let faults_json = serde_json::to_string(faults)
         .map_err(|e| CheckpointError::Serialize { what: "faults", detail: e.to_string() })?;
-    eat(cfg_json.as_bytes());
-    eat(faults_json.as_bytes());
-    eat(algorithm.as_bytes());
-    eat(&seed.to_le_bytes());
-    Ok(h)
+    Ok(Fnv1a::default()
+        .bytes(cfg_json.as_bytes())
+        .bytes(faults_json.as_bytes())
+        .bytes(algorithm.as_bytes())
+        .u64(seed)
+        .finish())
 }
 
 // ---- meta encoding -----------------------------------------------------
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn get_u64(inp: &mut impl Read) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    inp.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn get_u32(inp: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    inp.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn get_f32(inp: &mut impl Read) -> io::Result<f32> {
-    let mut b = [0u8; 4];
-    inp.read_exact(&mut b)?;
-    Ok(f32::from_le_bytes(b))
-}
-
-fn get_str(inp: &mut impl Read) -> io::Result<String> {
-    let n = get_u64(inp)? as usize;
-    if n > (1 << 20) {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "implausible string length"));
-    }
-    let mut buf = vec![0u8; n];
-    inp.read_exact(&mut buf)?;
-    String::from_utf8(buf)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 string"))
-}
-
-// ---- scheduler-state encoding (meta v3) --------------------------------
 //
 // In-flight updates carry raw f32 values in the opaque meta section:
 // little-endian bit patterns, so NaNs, -0.0, and every rounding artifact
 // survive the round trip — the async kill-and-resume test compares the
 // finished histories byte-for-byte.
 
-fn put_f32_vec(out: &mut Vec<u8>, v: &[f32]) {
-    put_u64(out, v.len() as u64);
-    for &x in v {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
+fn write_tensor<'w>(w: &'w mut Writer, t: &TensorBlob) -> &'w mut Writer {
+    w.usizes(&t.dims).f32s(&t.values)
 }
 
-fn get_f32_vec(inp: &mut impl Read) -> io::Result<Vec<f32>> {
-    let n = get_u64(inp)? as usize;
-    if n > (1 << 28) {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "implausible f32 vector length"));
-    }
-    let mut buf = vec![0u8; n * 4];
-    inp.read_exact(&mut buf)?;
-    Ok(buf.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect())
+fn read_tensor(r: &mut Reader<impl Read>) -> io::Result<TensorBlob> {
+    Ok(TensorBlob { dims: r.usizes()?, values: r.f32s()? })
 }
 
-fn put_usize_vec(out: &mut Vec<u8>, v: &[usize]) {
-    put_u64(out, v.len() as u64);
-    for &x in v {
-        put_u64(out, x as u64);
-    }
-}
-
-fn get_usize_vec(inp: &mut impl Read) -> io::Result<Vec<usize>> {
-    let n = get_u64(inp)? as usize;
-    if n > (1 << 24) {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "implausible usize vector length"));
-    }
-    (0..n).map(|_| get_u64(inp).map(|x| x as usize)).collect()
-}
-
-fn put_weights(out: &mut Vec<u8>, w: &Weights) {
-    put_usize_vec(out, &w.lens);
-    put_f32_vec(out, &w.values);
-}
-
-fn get_weights(inp: &mut impl Read) -> io::Result<Weights> {
-    let lens = get_usize_vec(inp)?;
-    let values = get_f32_vec(inp)?;
-    Ok(Weights { lens, values })
-}
-
-fn put_model_state(out: &mut Vec<u8>, s: &ModelState) {
-    put_weights(out, &s.params);
-    put_weights(out, &s.buffers);
-}
-
-fn get_model_state(inp: &mut impl Read) -> io::Result<ModelState> {
-    let params = get_weights(inp)?;
-    let buffers = get_weights(inp)?;
-    Ok(ModelState { params, buffers })
-}
-
-fn put_tensor_blob(out: &mut Vec<u8>, t: &TensorBlob) {
-    put_usize_vec(out, &t.dims);
-    put_f32_vec(out, &t.values);
-}
-
-fn get_tensor_blob(inp: &mut impl Read) -> io::Result<TensorBlob> {
-    let dims = get_usize_vec(inp)?;
-    let values = get_f32_vec(inp)?;
-    Ok(TensorBlob { dims, values })
-}
-
-fn put_client_blob(out: &mut Vec<u8>, blob: &ClientBlob) {
-    put_u64(out, blob.models.len() as u64);
+fn write_client_blob(w: &mut Writer, blob: &ClientBlob) {
+    w.usize(blob.models.len());
     for (name, state) in &blob.models {
-        put_str(out, name);
-        put_model_state(out, state);
+        w.str(name).model_state(state);
     }
-    put_u64(out, blob.tensors.len() as u64);
+    w.usize(blob.tensors.len());
     for (name, tensor) in &blob.tensors {
-        put_str(out, name);
-        put_tensor_blob(out, tensor);
+        w.str(name);
+        write_tensor(w, tensor);
     }
 }
 
-fn get_client_blob(inp: &mut impl Read) -> io::Result<ClientBlob> {
-    let n_models = get_u64(inp)? as usize;
-    if n_models > (1 << 16) {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "implausible blob model count"));
-    }
+fn read_client_blob(r: &mut Reader<impl Read>) -> io::Result<ClientBlob> {
     let mut blob = ClientBlob::new();
-    for _ in 0..n_models {
-        let name = get_str(inp)?;
-        blob.models.push((name, get_model_state(inp)?));
+    for _ in 0..r.count()? {
+        blob.models.push((r.str()?, r.model_state()?));
     }
-    let n_tensors = get_u64(inp)? as usize;
-    if n_tensors > (1 << 16) {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "implausible blob tensor count"));
-    }
-    for _ in 0..n_tensors {
-        let name = get_str(inp)?;
-        blob.tensors.push((name, get_tensor_blob(inp)?));
+    for _ in 0..r.count()? {
+        blob.tensors.push((r.str()?, read_tensor(r)?));
     }
     Ok(blob)
 }
@@ -371,88 +251,48 @@ const PAYLOAD_STATE_AUX: u8 = 2;
 const PAYLOAD_LOGITS: u8 = 3;
 const PAYLOAD_WINDOW: u8 = 4;
 
-fn put_event(out: &mut Vec<u8>, ev: &PendingEvent) {
-    put_u64(out, ev.time_bits);
-    put_u64(out, ev.wave as u64);
-    put_u64(out, ev.idx as u64);
-    put_u64(out, ev.up_bytes);
-    put_u64(out, ev.update.client as u64);
-    put_u64(out, ev.update.n_samples as u64);
-    put_u64(out, ev.update.steps as u64);
-    out.extend_from_slice(&ev.update.loss.to_le_bytes());
-    match &ev.update.payload {
-        UpdatePayload::Empty => out.push(PAYLOAD_EMPTY),
-        UpdatePayload::State(state) => {
-            out.push(PAYLOAD_STATE);
-            put_model_state(out, state);
-        }
+fn write_event(w: &mut Writer, ev: &PendingEvent) {
+    let u = &ev.update;
+    w.u64(ev.time_bits).usize(ev.wave).usize(ev.idx).u64(ev.up_bytes);
+    w.usize(u.client).usize(u.n_samples).usize(u.steps).f32(u.loss);
+    match &u.payload {
+        UpdatePayload::Empty => w.u8(PAYLOAD_EMPTY),
+        UpdatePayload::State(state) => w.u8(PAYLOAD_STATE).model_state(state),
         UpdatePayload::StateAux { state, aux } => {
-            out.push(PAYLOAD_STATE_AUX);
-            put_model_state(out, state);
-            put_f32_vec(out, aux);
+            w.u8(PAYLOAD_STATE_AUX).model_state(state).f32s(aux)
         }
-        UpdatePayload::Logits(t) => {
-            out.push(PAYLOAD_LOGITS);
-            put_tensor_blob(out, t);
-        }
+        UpdatePayload::Logits(t) => write_tensor(w.u8(PAYLOAD_LOGITS), t),
         UpdatePayload::Window { offset, state } => {
-            out.push(PAYLOAD_WINDOW);
-            put_u64(out, *offset as u64);
-            put_model_state(out, state);
+            w.u8(PAYLOAD_WINDOW).usize(*offset).model_state(state)
         }
-    }
-    match &ev.update.commit {
-        None => out.push(0),
-        Some(blob) => {
-            out.push(1);
-            put_client_blob(out, blob);
-        }
+    };
+    w.u8(u.commit.is_some() as u8);
+    if let Some(blob) = &u.commit {
+        write_client_blob(w, blob);
     }
 }
 
-fn get_event(inp: &mut impl Read) -> io::Result<PendingEvent> {
-    let time_bits = get_u64(inp)?;
-    let wave = get_u64(inp)? as usize;
-    let idx = get_u64(inp)? as usize;
-    let up_bytes = get_u64(inp)?;
-    let client = get_u64(inp)? as usize;
-    let n_samples = get_u64(inp)? as usize;
-    let steps = get_u64(inp)? as usize;
-    let loss = get_f32(inp)?;
-    let mut tag = [0u8; 1];
-    inp.read_exact(&mut tag)?;
-    let payload = match tag[0] {
+fn read_event(r: &mut Reader<impl Read>) -> io::Result<PendingEvent> {
+    let time_bits = r.u64()?;
+    let wave = r.usize()?;
+    let idx = r.usize()?;
+    let up_bytes = r.u64()?;
+    let client = r.usize()?;
+    let n_samples = r.usize()?;
+    let steps = r.usize()?;
+    let loss = r.f32()?;
+    let payload = match r.u8()? {
         PAYLOAD_EMPTY => UpdatePayload::Empty,
-        PAYLOAD_STATE => UpdatePayload::State(get_model_state(inp)?),
-        PAYLOAD_STATE_AUX => {
-            let state = get_model_state(inp)?;
-            let aux = get_f32_vec(inp)?;
-            UpdatePayload::StateAux { state, aux }
-        }
-        PAYLOAD_LOGITS => UpdatePayload::Logits(get_tensor_blob(inp)?),
-        PAYLOAD_WINDOW => {
-            let offset = get_u64(inp)? as usize;
-            let state = get_model_state(inp)?;
-            UpdatePayload::Window { offset, state }
-        }
-        other => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unknown update payload tag {other}"),
-            ));
-        }
+        PAYLOAD_STATE => UpdatePayload::State(r.model_state()?),
+        PAYLOAD_STATE_AUX => UpdatePayload::StateAux { state: r.model_state()?, aux: r.f32s()? },
+        PAYLOAD_LOGITS => UpdatePayload::Logits(read_tensor(r)?),
+        PAYLOAD_WINDOW => UpdatePayload::Window { offset: r.usize()?, state: r.model_state()? },
+        other => return Err(invalid(format!("unknown update payload tag {other}"))),
     };
-    let mut flag = [0u8; 1];
-    inp.read_exact(&mut flag)?;
-    let commit = match flag[0] {
+    let commit = match r.u8()? {
         0 => None,
-        1 => Some(get_client_blob(inp)?),
-        other => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unknown commit flag {other}"),
-            ));
-        }
+        1 => Some(read_client_blob(r)?),
+        other => return Err(invalid(format!("unknown commit flag {other}"))),
     };
     Ok(PendingEvent {
         time_bits,
@@ -463,181 +303,90 @@ fn get_event(inp: &mut impl Read) -> io::Result<PendingEvent> {
     })
 }
 
-fn encode_meta(ckpt: &RunCheckpoint) -> Vec<u8> {
-    let version = if ckpt.scheduler.is_some() {
-        ASYNC_CHECKPOINT_VERSION
-    } else {
-        RUN_CHECKPOINT_VERSION
-    };
-    let mut out = Vec::new();
-    out.extend_from_slice(&version.to_le_bytes());
-    put_u64(&mut out, ckpt.fingerprint);
-    put_u64(&mut out, ckpt.next_round as u64);
-    put_str(&mut out, &ckpt.algorithm);
-    put_u64(&mut out, ckpt.sampler_check);
-    put_u64(&mut out, ckpt.fault_check);
-    put_str(&mut out, &ckpt.state.algorithm);
-    out.extend_from_slice(&ckpt.state.version.to_le_bytes());
-    put_u64(&mut out, ckpt.records.len() as u64);
+pub(crate) fn encode_meta(ckpt: &RunCheckpoint) -> Vec<u8> {
+    let mut w = Writer::default();
+    w.u32(RUN_META_VERSION).u64(ckpt.fingerprint).usize(ckpt.next_round).str(&ckpt.algorithm);
+    w.u64(ckpt.sampler_check).u64(ckpt.fault_check);
+    w.str(&ckpt.state.algorithm).u32(ckpt.state.version);
+    w.usize(ckpt.records.len());
     for r in &ckpt.records {
-        put_u64(&mut out, r.round as u64);
-        out.extend_from_slice(&r.test_acc.to_le_bytes());
-        out.extend_from_slice(&r.train_loss.to_le_bytes());
-        put_u64(&mut out, r.cum_bytes);
-        put_u64(&mut out, r.down_bytes);
-        put_u64(&mut out, r.up_bytes);
-        put_u64(&mut out, r.wasted_up_bytes);
-        put_u64(&mut out, r.down_clients as u64);
-        put_u64(&mut out, r.up_clients as u64);
-        out.push(r.quorum_met as u8);
+        w.usize(r.round).f32(r.test_acc).f32(r.train_loss).u64(r.cum_bytes);
+        w.u64(r.down_bytes).u64(r.up_bytes).u64(r.wasted_up_bytes);
+        w.usize(r.down_clients).usize(r.up_clients).u8(r.quorum_met as u8);
     }
+    w.u8(ckpt.scheduler.is_some() as u8);
     if let Some(sched) = &ckpt.scheduler {
-        put_u64(&mut out, sched.now_bits);
-        put_u64(&mut out, sched.events.len() as u64);
+        w.u64(sched.now_bits).usize(sched.events.len());
         for ev in &sched.events {
-            put_event(&mut out, ev);
+            write_event(&mut w, ev);
         }
     }
-    out
+    w.into_bytes()
 }
 
-struct DecodedMeta {
-    fingerprint: u64,
-    next_round: usize,
-    algorithm: String,
-    sampler_check: u64,
-    fault_check: u64,
-    state_algorithm: String,
-    state_version: u32,
-    records: Vec<RoundRecord>,
-    scheduler: Option<SchedulerState>,
-}
-
-fn decode_meta(meta: &[u8]) -> io::Result<DecodedMeta> {
-    let mut inp = meta;
-    let version = get_u32(&mut inp)?;
-    if version == 2 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "run-checkpoint version 2 predates per-event uplink accounting; \
-             re-run from scratch (or from a synchronous v1 checkpoint)",
-        ));
+/// Decode run meta v4 into a checkpoint whose algorithm state carries
+/// only its header; the bundle's sections fill in the rest.
+pub(crate) fn decode_meta(r: &mut Reader<impl Read>) -> io::Result<RunCheckpoint> {
+    let version = r.u32()?;
+    if version != RUN_META_VERSION {
+        return Err(invalid(format!(
+            "run-checkpoint meta version mismatch: expected {RUN_META_VERSION}, found {version}; \
+             checkpoints from older builds cannot resume, re-run from scratch"
+        )));
     }
-    if version != RUN_CHECKPOINT_VERSION && version != ASYNC_CHECKPOINT_VERSION {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "run-checkpoint version mismatch: expected {RUN_CHECKPOINT_VERSION} or \
-                 {ASYNC_CHECKPOINT_VERSION}, found {version}"
-            ),
-        ));
-    }
-    let fingerprint = get_u64(&mut inp)?;
-    let next_round = get_u64(&mut inp)? as usize;
-    let algorithm = get_str(&mut inp)?;
-    let sampler_check = get_u64(&mut inp)?;
-    let fault_check = get_u64(&mut inp)?;
-    let state_algorithm = get_str(&mut inp)?;
-    let state_version = get_u32(&mut inp)?;
-    let n_records = get_u64(&mut inp)? as usize;
-    if n_records > (1 << 24) {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "implausible record count"));
-    }
-    let mut records = Vec::with_capacity(n_records);
-    for _ in 0..n_records {
-        let round = get_u64(&mut inp)? as usize;
-        let test_acc = get_f32(&mut inp)?;
-        let train_loss = get_f32(&mut inp)?;
-        let cum_bytes = get_u64(&mut inp)?;
-        let down_bytes = get_u64(&mut inp)?;
-        let up_bytes = get_u64(&mut inp)?;
-        let wasted_up_bytes = get_u64(&mut inp)?;
-        let down_clients = get_u64(&mut inp)? as usize;
-        let up_clients = get_u64(&mut inp)? as usize;
-        let mut q = [0u8; 1];
-        inp.read_exact(&mut q)?;
+    let (fingerprint, next_round, algorithm) = (r.u64()?, r.usize()?, r.str()?);
+    let (sampler_check, fault_check) = (r.u64()?, r.u64()?);
+    let state = AlgorithmState::new(r.str()?, r.u32()?);
+    let mut records = Vec::new();
+    for _ in 0..r.count()? {
         records.push(RoundRecord {
-            round,
-            test_acc,
-            train_loss,
-            cum_bytes,
-            down_bytes,
-            up_bytes,
-            wasted_up_bytes,
-            down_clients,
-            up_clients,
-            quorum_met: q[0] != 0,
+            round: r.usize()?,
+            test_acc: r.f32()?,
+            train_loss: r.f32()?,
+            cum_bytes: r.u64()?,
+            down_bytes: r.u64()?,
+            up_bytes: r.u64()?,
+            wasted_up_bytes: r.u64()?,
+            down_clients: r.usize()?,
+            up_clients: r.usize()?,
+            quorum_met: r.u8()? != 0,
         });
     }
-    let scheduler = if version >= ASYNC_CHECKPOINT_VERSION {
-        let now_bits = get_u64(&mut inp)?;
-        let n_events = get_u64(&mut inp)? as usize;
-        if n_events > (1 << 24) {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "implausible event count"));
+    let scheduler = match r.u8()? {
+        0 => None,
+        1 => {
+            let now_bits = r.u64()?;
+            let mut events = Vec::new();
+            for _ in 0..r.count()? {
+                events.push(read_event(r)?);
+            }
+            Some(SchedulerState { now_bits, events })
         }
-        let mut events = Vec::with_capacity(n_events);
-        for _ in 0..n_events {
-            events.push(get_event(&mut inp)?);
-        }
-        Some(SchedulerState { now_bits, events })
-    } else {
-        None
+        other => return Err(invalid(format!("unknown scheduler flag {other}"))),
     };
-    if !inp.is_empty() {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "trailing metadata bytes"));
-    }
-    Ok(DecodedMeta {
+    r.finish()?;
+    Ok(RunCheckpoint {
         fingerprint,
         next_round,
         algorithm,
         sampler_check,
         fault_check,
-        state_algorithm,
-        state_version,
         records,
+        state,
         scheduler,
     })
 }
 
 // ---- save / load -------------------------------------------------------
 
-fn to_bundle(ckpt: &RunCheckpoint) -> CheckpointBundle {
-    CheckpointBundle {
-        meta: encode_meta(ckpt),
-        models: ckpt.state.models.clone(),
-        arrays: ckpt
-            .state
-            .tensors
-            .iter()
-            .map(|(n, t)| (n.clone(), t.dims.clone(), t.values.clone()))
-            .collect(),
-        scalars: ckpt.state.scalars.clone(),
-    }
-}
-
 fn from_bundle(bundle: CheckpointBundle) -> io::Result<RunCheckpoint> {
-    let meta = decode_meta(&bundle.meta)?;
-    let state = AlgorithmState {
-        algorithm: meta.state_algorithm,
-        version: meta.state_version,
-        models: bundle.models,
-        tensors: bundle
-            .arrays
-            .into_iter()
-            .map(|(n, dims, values)| (n, TensorBlob { dims, values }))
-            .collect(),
-        scalars: bundle.scalars,
-    };
-    Ok(RunCheckpoint {
-        fingerprint: meta.fingerprint,
-        next_round: meta.next_round,
-        algorithm: meta.algorithm,
-        sampler_check: meta.sampler_check,
-        fault_check: meta.fault_check,
-        records: meta.records,
-        state,
-        scheduler: meta.scheduler,
-    })
+    let meta = &bundle.meta[..];
+    let mut ckpt = decode_meta(&mut Reader::with_len(meta, meta.len() as u64))?;
+    ckpt.state.models = bundle.models;
+    let arrays = bundle.arrays.into_iter();
+    ckpt.state.tensors = arrays.map(|(n, dims, values)| (n, TensorBlob { dims, values })).collect();
+    ckpt.state.scalars = bundle.scalars;
+    Ok(ckpt)
 }
 
 /// File name of the checkpoint taken after `next_round` completed
@@ -651,7 +400,11 @@ pub fn checkpoint_file(dir: &Path, next_round: usize) -> PathBuf {
 pub fn save_run(ckpt: &RunCheckpoint, dir: &Path) -> io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
     let path = checkpoint_file(dir, ckpt.next_round);
-    save_bundle(&to_bundle(ckpt), &path)?;
+    let tensors = ckpt.state.tensors.iter();
+    let arrays = tensors.map(|(n, t)| (n.as_str(), t.dims.as_slice(), t.values.as_slice()));
+    let bytes =
+        encode_bundle_parts(&encode_meta(ckpt), &ckpt.state.models, arrays, &ckpt.state.scalars);
+    atomic_write(&path, &bytes)?;
     Ok(path)
 }
 
@@ -948,39 +701,27 @@ mod tests {
     }
 
     #[test]
-    fn sync_checkpoints_still_write_version_one() {
-        // Growing the format must not disturb synchronous checkpoints:
-        // the meta section still leads with version 1 byte-for-byte.
-        let dir = tmpdir("v1_stable");
+    fn meta_versions_before_four_are_refused_with_expected_and_found() {
+        // Sync and async runs share meta v4; the retired sync v1, the
+        // unbilled async v2 and the async-only v3 envelopes are refused,
+        // naming both versions, instead of resuming a different layout.
+        let dir = tmpdir("old_versions");
         let path = save_run(&sample_ckpt(2), &dir).unwrap();
-        let loaded = load_run(&path).unwrap();
-        assert!(loaded.scheduler.is_none());
-        assert_eq!(loaded.next_round, 2);
-        assert_eq!(loaded.records.len(), 2);
-        let mut sync = sample_ckpt(2);
-        let sync_meta = super::encode_meta(&sync);
-        assert_eq!(sync_meta[0..4], RUN_CHECKPOINT_VERSION.to_le_bytes());
-        sync.scheduler = Some(crate::scheduler::SchedulerState { now_bits: 0, events: vec![] });
-        let async_meta = super::encode_meta(&sync);
-        assert_eq!(async_meta[0..4], ASYNC_CHECKPOINT_VERSION.to_le_bytes());
-        assert_eq!(
-            async_meta[4..sync_meta.len()],
-            sync_meta[4..],
-            "the async format appends after the v1 fields, it does not reshuffle them"
-        );
+        let mut bundle = load_bundle(&path).unwrap();
+        assert_eq!(bundle.meta[0..4], RUN_META_VERSION.to_le_bytes());
+        for old in [1u32, 2, 3] {
+            bundle.meta[0..4].copy_from_slice(&old.to_le_bytes());
+            kemf_nn::checkpoint::save_bundle(&bundle, &path).unwrap();
+            let err = match load_run(&path) {
+                Ok(_) => panic!("a v{old} checkpoint must be refused"),
+                Err(e) => e.to_string(),
+            };
+            assert!(
+                err.contains("expected 4") && err.contains(&format!("found {old}")),
+                "bad message: {err}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn version_two_checkpoints_are_refused_with_a_clear_message() {
-        // v2 async checkpoints carried no per-event uplink bytes; loading
-        // one would silently zero the billing of every in-flight event.
-        let err = match super::decode_meta(&2u32.to_le_bytes()) {
-            Ok(_) => panic!("a v2 checkpoint must be refused"),
-            Err(e) => e,
-        };
-        assert!(err.to_string().contains("version 2"), "bad message: {err}");
-        assert!(err.to_string().contains("uplink"), "bad message: {err}");
     }
 
     #[test]

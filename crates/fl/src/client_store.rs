@@ -42,7 +42,8 @@
 //! different directories.
 
 use crate::state::TensorBlob;
-use kemf_nn::checkpoint::{load_bundle, save_bundle, CheckpointBundle};
+use kemf_nn::checkpoint::{atomic_write, encode_bundle_parts, load_bundle};
+use kemf_nn::codec::{Reader, Writer};
 use kemf_nn::serialize::ModelState;
 use std::collections::HashMap;
 use std::fmt;
@@ -393,50 +394,39 @@ fn save_blob(dir: &Path, k: usize, round: usize, blob: &ClientBlob) -> Result<()
     let shard = shard_dir(dir, k);
     std::fs::create_dir_all(&shard)
         .map_err(|error| StoreError::Io { path: shard.clone(), error })?;
-    let mut meta = Vec::with_capacity(20);
-    meta.extend_from_slice(&BLOB_META_VERSION.to_le_bytes());
-    meta.extend_from_slice(&(k as u64).to_le_bytes());
-    meta.extend_from_slice(&(round as u64).to_le_bytes());
-    let bundle = CheckpointBundle {
-        meta,
-        models: blob.models.clone(),
-        arrays: blob
-            .tensors
-            .iter()
-            .map(|(n, t)| (n.clone(), t.dims.clone(), t.values.clone()))
-            .collect(),
-        scalars: Vec::new(),
-    };
+    let mut meta = Writer::with_capacity(20);
+    meta.u32(BLOB_META_VERSION).usize(k).usize(round);
+    let tensors = blob.tensors.iter();
+    let arrays = tensors.map(|(n, t)| (n.as_str(), t.dims.as_slice(), t.values.as_slice()));
+    let bytes = encode_bundle_parts(&meta.into_bytes(), &blob.models, arrays, &[]);
     let path = spill_file(dir, k, round);
-    save_bundle(&bundle, &path).map_err(|error| StoreError::Io { path, error })
+    atomic_write(&path, &bytes).map_err(|error| StoreError::Io { path, error })
+}
+
+/// Spill meta v1: version, client, round stamp — and nothing else.
+fn read_spill_meta(meta: &[u8]) -> io::Result<(u32, usize, usize)> {
+    let mut r = Reader::new(meta);
+    let fields = (r.u32()?, r.usize()?, r.usize()?);
+    r.finish()?;
+    Ok(fields)
 }
 
 fn load_blob(dir: &Path, k: usize, round: usize) -> Result<ClientBlob, StoreError> {
     let path = spill_file(dir, k, round);
     let bundle = load_bundle(&path).map_err(|error| StoreError::Io { path: path.clone(), error })?;
-    if bundle.meta.len() != 20 {
-        return Err(StoreError::Corrupt {
-            client: k,
-            detail: format!("{}: unexpected meta length {}", path.display(), bundle.meta.len()),
-        });
-    }
-    let version = u32::from_le_bytes(bundle.meta[0..4].try_into().unwrap());
-    let client = u64::from_le_bytes(bundle.meta[4..12].try_into().unwrap()) as usize;
-    let stamp = u64::from_le_bytes(bundle.meta[12..20].try_into().unwrap()) as usize;
+    let corrupt = |detail: String| StoreError::Corrupt {
+        client: k,
+        detail: format!("{}: {detail}", path.display()),
+    };
+    let (version, client, stamp) =
+        read_spill_meta(&bundle.meta).map_err(|e| corrupt(format!("spill meta: {e}")))?;
     if version != BLOB_META_VERSION {
-        return Err(StoreError::Corrupt {
-            client: k,
-            detail: format!("{}: blob version {version}, expected {BLOB_META_VERSION}", path.display()),
-        });
+        return Err(corrupt(format!("blob version {version}, expected {BLOB_META_VERSION}")));
     }
     if client != k || stamp != round {
-        return Err(StoreError::Corrupt {
-            client: k,
-            detail: format!(
-                "{}: names client {k} round {round} but holds client {client} round {stamp}",
-                path.display()
-            ),
-        });
+        return Err(corrupt(format!(
+            "names client {k} round {round} but holds client {client} round {stamp}"
+        )));
     }
     Ok(ClientBlob {
         models: bundle.models,

@@ -17,9 +17,11 @@
 //! bottom pin the quantize → int8-forward round trip to its analytic
 //! error bound.
 
+use kemf_nn::codec::{Reader, Writer};
 use kemf_nn::layer::Precision;
 use kemf_nn::serialize::Weights;
 use serde::{Deserialize, Serialize};
+use std::io::{self, Read};
 
 /// Serializable compute-format switch for inference passes (the config
 /// counterpart of [`kemf_nn::layer::Precision`], which stays
@@ -83,13 +85,9 @@ pub enum CompressError {
     },
     /// A scale or offset is NaN/infinite, or input weights were.
     NonFinite,
-    /// A wire-encoded payload ended before its declared contents.
-    Truncated {
-        /// Bytes the declared structure needs.
-        needed: usize,
-        /// Bytes actually present.
-        got: usize,
-    },
+    /// A wire-encoded payload does not parse: truncated, trailing
+    /// bytes, or a length no input of its size holds.
+    Malformed(String),
 }
 
 impl std::fmt::Display for CompressError {
@@ -104,9 +102,7 @@ impl std::fmt::Display for CompressError {
                 write!(f, "lens sum to {lens_total} but payload has {codes} codes")
             }
             CompressError::NonFinite => write!(f, "non-finite value in payload"),
-            CompressError::Truncated { needed, got } => {
-                write!(f, "wire payload truncated: needs {needed} bytes, got {got}")
-            }
+            CompressError::Malformed(detail) => write!(f, "malformed wire payload: {detail}"),
         }
     }
 }
@@ -201,80 +197,36 @@ impl QuantizedWeights {
     /// a fixed order, little-endian throughout. The inverse of
     /// [`QuantizedWeights::from_wire`].
     pub fn to_wire(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(
+        let mut w = Writer::with_capacity(
             8 * 4 + self.codes.len() + 4 * (self.scales.len() + self.offsets.len())
                 + 8 * self.lens.len(),
         );
-        out.extend_from_slice(&(self.codes.len() as u64).to_le_bytes());
-        out.extend(self.codes.iter().map(|&c| c as u8));
-        out.extend_from_slice(&(self.scales.len() as u64).to_le_bytes());
-        for s in &self.scales {
-            out.extend_from_slice(&s.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.offsets.len() as u64).to_le_bytes());
-        for o in &self.offsets {
-            out.extend_from_slice(&o.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.chunk as u64).to_le_bytes());
-        out.extend_from_slice(&(self.lens.len() as u64).to_le_bytes());
-        for l in &self.lens {
-            out.extend_from_slice(&(*l as u64).to_le_bytes());
-        }
-        out
+        w.i8s(&self.codes).f32s(&self.scales).f32s(&self.offsets);
+        w.usize(self.chunk).usizes(&self.lens);
+        w.into_bytes()
     }
 
     /// Decode the transport wire format written by
-    /// [`QuantizedWeights::to_wire`]. Every section length is checked
-    /// against the remaining bytes before allocation, so truncated or
-    /// corrupted inputs surface as [`CompressError::Truncated`] — never
-    /// a panic or an unbounded allocation.
+    /// [`QuantizedWeights::to_wire`] through [`kemf_nn::codec`], so
+    /// truncated or corrupted inputs surface as
+    /// [`CompressError::Malformed`] — never a panic or an unbounded
+    /// allocation.
     pub fn from_wire(bytes: &[u8]) -> Result<Self, CompressError> {
-        fn take<'a>(
-            bytes: &'a [u8],
-            at: &mut usize,
-            n: usize,
-        ) -> Result<&'a [u8], CompressError> {
-            let end = at
-                .checked_add(n)
-                .ok_or(CompressError::Truncated { needed: usize::MAX, got: bytes.len() })?;
-            let s = bytes
-                .get(*at..end)
-                .ok_or(CompressError::Truncated { needed: end, got: bytes.len() })?;
-            *at = end;
-            Ok(s)
-        }
-        // A section length no input of this size could hold is
-        // corruption, not a request to allocate petabytes.
-        fn read_len(bytes: &[u8], at: &mut usize, cap: usize) -> Result<usize, CompressError> {
-            let raw = u64::from_le_bytes(take(bytes, at, 8)?.try_into().expect("8-byte slice"));
-            if raw > cap as u64 {
-                return Err(CompressError::Truncated { needed: raw as usize, got: cap });
-            }
-            Ok(raw as usize)
-        }
-        let mut at = 0usize;
-        let n_codes = read_len(bytes, &mut at, bytes.len())?;
-        let codes: Vec<i8> = take(bytes, &mut at, n_codes)?.iter().map(|&b| b as i8).collect();
-        let n_scales = read_len(bytes, &mut at, bytes.len() / 4 + 1)?;
-        let mut scales = Vec::with_capacity(n_scales);
-        for c in take(bytes, &mut at, n_scales * 4)?.chunks_exact(4) {
-            scales.push(f32::from_le_bytes(c.try_into().expect("4-byte slice")));
-        }
-        let n_offsets = read_len(bytes, &mut at, bytes.len() / 4 + 1)?;
-        let mut offsets = Vec::with_capacity(n_offsets);
-        for c in take(bytes, &mut at, n_offsets * 4)?.chunks_exact(4) {
-            offsets.push(f32::from_le_bytes(c.try_into().expect("4-byte slice")));
-        }
-        let chunk = read_len(bytes, &mut at, usize::MAX - 1)?;
-        let n_lens = read_len(bytes, &mut at, bytes.len() / 8 + 1)?;
-        let mut lens = Vec::with_capacity(n_lens);
-        for l in take(bytes, &mut at, n_lens * 8)?.chunks_exact(8) {
-            lens.push(u64::from_le_bytes(l.try_into().expect("8-byte slice")) as usize);
-        }
-        if at != bytes.len() {
-            return Err(CompressError::Truncated { needed: at, got: bytes.len() });
-        }
-        Ok(QuantizedWeights { codes, scales, offsets, chunk, lens })
+        Self::read_wire(&mut Reader::with_len(bytes, bytes.len() as u64))
+            .map_err(|e| CompressError::Malformed(e.to_string()))
+    }
+
+    /// The whole-input decode behind [`QuantizedWeights::from_wire`].
+    pub(crate) fn read_wire(r: &mut Reader<impl Read>) -> io::Result<Self> {
+        let q = QuantizedWeights {
+            codes: r.i8s()?,
+            scales: r.f32s()?,
+            offsets: r.f32s()?,
+            chunk: r.usize()?,
+            lens: r.usizes()?,
+        };
+        r.finish()?;
+        Ok(q)
     }
 }
 
@@ -345,7 +297,7 @@ mod tests {
         hostile[..8].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(
             QuantizedWeights::from_wire(&hostile),
-            Err(CompressError::Truncated { .. })
+            Err(CompressError::Malformed(_))
         ));
     }
 

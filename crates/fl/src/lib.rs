@@ -50,6 +50,8 @@
 
 pub mod checkpoint;
 pub mod client_store;
+#[cfg(test)]
+mod codec_tests;
 pub mod comm;
 pub mod compress;
 pub mod config;

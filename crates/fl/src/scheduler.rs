@@ -43,6 +43,7 @@ use crate::config::ConfigError;
 use crate::lifecycle::{ClientOutcome, ClientPlan, RoundPlan};
 use crate::network::{NetworkModel, NetworkProfiles};
 use crate::state::TensorBlob;
+use kemf_nn::codec::Fnv1a;
 use kemf_nn::serialize::ModelState;
 
 /// How [`crate::engine::Engine::run`] advances rounds.
@@ -198,41 +199,29 @@ impl AsyncConfig {
     /// resume in another. Synchronous fingerprints are untouched — the
     /// tag below guarantees async never collides with sync.
     pub(crate) fn mix_fingerprint(&self, base: u64) -> u64 {
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = base ^ 0x4153_594e_4321_7575; // "ASYN C!uu" domain tag
-        let eat = |h: &mut u64, bytes: &[u8]| {
-            for &b in bytes {
-                *h ^= b as u64;
-                *h = h.wrapping_mul(FNV_PRIME);
+        let mut h = Fnv1a::with_state(base ^ 0x4153_594e_4321_7575); // "ASYN C!uu" domain tag
+        h.u64(self.buffer_size as u64)
+            .u64(self.max_staleness as u64)
+            .bytes(&self.staleness_decay.to_bits().to_le_bytes());
+        match &self.network {
+            None => h.bytes(&[0]),
+            Some(net) => {
+                h.bytes(&[1]).u64(net.bandwidth_bps.to_bits()).u64(net.latency_s.to_bits())
             }
         };
-        eat(&mut h, &(self.buffer_size as u64).to_le_bytes());
-        eat(&mut h, &(self.max_staleness as u64).to_le_bytes());
-        eat(&mut h, &self.staleness_decay.to_bits().to_le_bytes());
-        match &self.network {
-            None => eat(&mut h, &[0]),
-            Some(net) => {
-                eat(&mut h, &[1]);
-                eat(&mut h, &net.bandwidth_bps.to_bits().to_le_bytes());
-                eat(&mut h, &net.latency_s.to_bits().to_le_bytes());
-            }
-        }
         // Later knobs append tagged bytes only when set, so fingerprints
         // of runs that never use them are unchanged from earlier builds
         // (their checkpoints stay resumable).
         if let Some(p) = &self.profiles {
-            eat(&mut h, &[2]);
-            eat(&mut h, &(p.models.len() as u64).to_le_bytes());
+            h.bytes(&[2]).u64(p.models.len() as u64);
             for m in &p.models {
-                eat(&mut h, &m.bandwidth_bps.to_bits().to_le_bytes());
-                eat(&mut h, &m.latency_s.to_bits().to_le_bytes());
+                h.u64(m.bandwidth_bps.to_bits()).u64(m.latency_s.to_bits());
             }
         }
         if let Some(t) = self.aggregate_after_s {
-            eat(&mut h, &[3]);
-            eat(&mut h, &t.to_bits().to_le_bytes());
+            h.bytes(&[3]).u64(t.to_bits());
         }
-        h
+        h.finish()
     }
 }
 

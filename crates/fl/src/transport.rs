@@ -36,6 +36,7 @@
 
 use crate::compress::{self, CompressError, QuantizedWeights};
 use crate::lifecycle::{ClientOutcome, ClientPlan, ModelView, RoundComm, RoundPlan, WirePayload};
+use kemf_nn::codec::{crc32, invalid, Crc32, Fnv1a, Reader, Writer};
 use kemf_nn::models::ModelSpec;
 use kemf_nn::serialize::ModelState;
 use std::fmt;
@@ -304,33 +305,8 @@ impl TransportStats {
 }
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE), table-free: plenty for test-scale payloads.
+// Deterministic filler
 // ---------------------------------------------------------------------------
-
-/// IEEE CRC-32 over `bytes` (reflected, poly 0xEDB88320).
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
-/// FNV-1a over a few integers, for deterministic filler seeds.
-fn fnv64(parts: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for p in parts {
-        for b in p.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
 
 /// Fill `buf` with a deterministic xorshift64* stream.
 fn fill_deterministic(buf: &mut [u8], seed: u64) {
@@ -353,7 +329,7 @@ fn fill_deterministic(buf: &mut [u8], seed: u64) {
 }
 
 fn filler_seed(round: u64, client: u64, dir: u8) -> u64 {
-    fnv64(&[0x4b4d_4654_5041_594c, round, client, dir as u64])
+    Fnv1a::default().u64(0x4b4d_4654_5041_594c).u64(round).u64(client).u64(dir as u64).finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -370,26 +346,23 @@ const TAG_MODEL: u8 = 1;
 /// seeded deterministically from (round, client, direction).
 pub(crate) fn build_payload(len: u64, seed: u64, model: Option<&[u8]>) -> Vec<u8> {
     let len = len as usize;
-    let mut buf = vec![0u8; len];
     if len < MIN_WIRE_PAYLOAD as usize {
+        let mut buf = vec![0u8; len];
         fill_deterministic(&mut buf, seed);
         return buf;
     }
     let body_end = len - 4;
+    let mut w = Writer::with_capacity(len);
     match model {
-        Some(enc) if 1 + 8 + enc.len() <= body_end => {
-            buf[0] = TAG_MODEL;
-            buf[1..9].copy_from_slice(&(enc.len() as u64).to_le_bytes());
-            buf[9..9 + enc.len()].copy_from_slice(enc);
-            fill_deterministic(&mut buf[9 + enc.len()..body_end], seed);
-        }
-        _ => {
-            buf[0] = TAG_FILLER;
-            fill_deterministic(&mut buf[1..body_end], seed);
-        }
-    }
-    let crc = crc32(&buf[..body_end]);
-    buf[body_end..].copy_from_slice(&crc.to_le_bytes());
+        Some(enc) if 1 + 8 + enc.len() <= body_end => w.u8(TAG_MODEL).bytes(enc),
+        _ => w.u8(TAG_FILLER),
+    };
+    let mut buf = w.into_bytes();
+    let content_end = buf.len();
+    buf.resize(body_end, 0);
+    fill_deterministic(&mut buf[content_end..], seed);
+    let crc = crc32(&buf);
+    buf.extend_from_slice(&crc.to_le_bytes());
     buf
 }
 
@@ -425,24 +398,19 @@ pub(crate) fn validate_payload(bytes: &[u8], declared: u64) -> Result<(), Payloa
     if bytes.len() < MIN_WIRE_PAYLOAD as usize {
         return Ok(()); // unstructured payload, nothing to check
     }
-    let body_end = bytes.len() - 4;
-    let stored = u32::from_le_bytes(bytes[body_end..].try_into().expect("4-byte slice"));
-    if crc32(&bytes[..body_end]) != stored {
+    let (body, stored) = bytes.split_at(bytes.len() - 4);
+    if Reader::new(stored).u32().ok() != Some(crc32(body)) {
         return Err(PayloadFault::BadChecksum);
     }
-    if bytes[0] == TAG_MODEL {
-        if body_end < 9 {
-            return Err(PayloadFault::Model(CompressError::Truncated { needed: 9, got: body_end }));
-        }
-        let enc_len =
-            u64::from_le_bytes(bytes[1..9].try_into().expect("8-byte slice")) as usize;
-        if 9 + enc_len > body_end {
-            return Err(PayloadFault::Model(CompressError::Truncated {
-                needed: 9 + enc_len,
-                got: body_end,
-            }));
-        }
-        let q = QuantizedWeights::from_wire(&bytes[9..9 + enc_len]).map_err(PayloadFault::Model)?;
+    if body[0] == TAG_MODEL {
+        let malformed = |detail: String| PayloadFault::Model(CompressError::Malformed(detail));
+        let mut r = Reader::new(&body[1..]);
+        let enc_len = r.count().map_err(|e| malformed(e.to_string()))?;
+        let rest = r.into_inner();
+        let enc = rest.get(..enc_len as usize).ok_or_else(|| {
+            malformed(format!("embedded model of {enc_len} bytes overruns {} bytes", rest.len()))
+        })?;
+        let q = QuantizedWeights::from_wire(enc).map_err(PayloadFault::Model)?;
         q.validate().map_err(PayloadFault::Model)?;
     }
     Ok(())
@@ -452,60 +420,140 @@ pub(crate) fn validate_payload(bytes: &[u8], declared: u64) -> Result<(), Payloa
 // Framing: [MAGIC][kind u8][body_len u32][body][crc32 over kind+body]
 // ---------------------------------------------------------------------------
 
-/// Write one frame; returns the wire bytes written.
-fn write_frame(w: &mut impl Write, kind: u8, body: &[u8]) -> io::Result<u64> {
+/// Write one KMFT frame; returns the wire bytes written.
+pub fn write_frame(w: &mut impl Write, kind: u8, body: &[u8]) -> io::Result<u64> {
     debug_assert!(body.len() as u64 <= MAX_FRAME_BODY as u64);
     let mut header = [0u8; 9];
     header[..4].copy_from_slice(&MAGIC);
     header[4] = kind;
     header[5..9].copy_from_slice(&(body.len() as u32).to_le_bytes());
-    let mut crc = !0u32;
-    for &b in std::iter::once(&kind).chain(body.iter()) {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
+    let crc = Crc32::default().update(&[kind]).update(body).finish();
     w.write_all(&header)?;
     w.write_all(body)?;
-    w.write_all(&(!crc).to_le_bytes())?;
+    w.write_all(&crc.to_le_bytes())?;
     w.flush()?;
     Ok(FRAME_OVERHEAD + body.len() as u64)
 }
 
-/// Read one frame; returns (kind, body, wire bytes read).
-fn read_frame(r: &mut impl Read) -> io::Result<(u8, Vec<u8>, u64)> {
-    let mut header = [0u8; 9];
-    r.read_exact(&mut header)?;
-    if header[..4] != MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "bad frame magic"));
+/// Read one KMFT frame; returns (kind, body, wire bytes read). The body
+/// buffer grows only as bytes arrive, so a forged length below
+/// `MAX_FRAME_BODY` costs no more than the bytes actually sent.
+pub fn read_frame(r: &mut impl Read) -> io::Result<(u8, Vec<u8>, u64)> {
+    let mut r = Reader::new(r);
+    if r.array::<4>()? != MAGIC {
+        return Err(invalid("bad frame magic"));
     }
-    let kind = header[4];
-    let body_len = u32::from_le_bytes(header[5..9].try_into().expect("4-byte slice"));
+    let kind = r.u8()?;
+    let body_len = r.u32()?;
     if body_len > MAX_FRAME_BODY {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame body of {body_len} bytes exceeds the {MAX_FRAME_BODY}-byte cap"),
-        ));
+        return Err(invalid(format!(
+            "frame body of {body_len} bytes exceeds the {MAX_FRAME_BODY}-byte cap"
+        )));
     }
-    let mut body = vec![0u8; body_len as usize];
-    r.read_exact(&mut body)?;
-    let mut crc_bytes = [0u8; 4];
-    r.read_exact(&mut crc_bytes)?;
-    let mut expect = vec![kind];
-    expect.extend_from_slice(&body);
-    if crc32(&expect) != u32::from_le_bytes(crc_bytes) {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "frame checksum mismatch"));
+    let body = r.raw(body_len as u64)?;
+    if r.u32()? != Crc32::default().update(&[kind]).update(&body).finish() {
+        return Err(invalid("frame checksum mismatch"));
     }
     Ok((kind, body, FRAME_OVERHEAD + body_len as u64))
 }
 
-// Little-endian body readers (the bodies are fixed layouts, not serde).
-fn get_u64(body: &[u8], at: usize) -> io::Result<u64> {
-    body.get(at..at + 8)
-        .map(|s| u64::from_le_bytes(s.try_into().expect("8-byte slice")))
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "frame body too short"))
+/// `K_DOWN` body: one client transaction's broadcast.
+struct Down<'a> {
+    round: u64,
+    client: u64,
+    delay_s: f64,
+    /// `INFINITY` when the round has no deadline.
+    deadline_s: f64,
+    up_len: u64,
+    /// Broadcast bytes before any in-transit damage.
+    declared_len: u64,
+    payload: &'a [u8],
+}
+
+impl<'a> Down<'a> {
+    fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::with_capacity(48 + self.payload.len());
+        w.u64(self.round).u64(self.client).f64(self.delay_s).f64(self.deadline_s);
+        w.u64(self.up_len).u64(self.declared_len).raw(self.payload);
+        w.into_bytes()
+    }
+
+    fn decode(body: &'a [u8]) -> io::Result<Self> {
+        let mut r = Reader::new(body);
+        let (round, client, delay_s, deadline_s) = (r.u64()?, r.u64()?, r.f64()?, r.f64()?);
+        let (up_len, declared_len) = (r.u64()?, r.u64()?);
+        let payload = r.into_inner();
+        Ok(Down { round, client, delay_s, deadline_s, up_len, declared_len, payload })
+    }
+}
+
+/// `K_UP` body: one upload attempt.
+struct Up<'a> {
+    round: u64,
+    client: u64,
+    attempt: u64,
+    up_len: u64,
+    report: &'a [u8],
+}
+
+impl<'a> Up<'a> {
+    fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::with_capacity(32 + self.report.len());
+        w.u64(self.round).u64(self.client).u64(self.attempt).u64(self.up_len).raw(self.report);
+        w.into_bytes()
+    }
+
+    fn decode(body: &'a [u8]) -> io::Result<Self> {
+        let mut r = Reader::new(body);
+        let (round, client, attempt, up_len) = (r.u64()?, r.u64()?, r.u64()?, r.u64()?);
+        Ok(Up { round, client, attempt, up_len, report: r.into_inner() })
+    }
+}
+
+/// `K_UP_ERR` body: a client's terminal failure report.
+struct UpErr {
+    round: u64,
+    client: u64,
+    code: u8,
+    msg: String,
+}
+
+impl UpErr {
+    fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::with_capacity(25 + self.msg.len());
+        w.u64(self.round).u64(self.client).u8(self.code).str(&self.msg);
+        w.into_bytes()
+    }
+
+    fn decode(body: &[u8]) -> io::Result<Self> {
+        let mut r = Reader::new(body);
+        let (round, client, code) = (r.u64()?, r.u64()?, r.u8()?);
+        let msg = String::from_utf8_lossy(&r.bytes()?).into_owned();
+        r.finish()?;
+        Ok(UpErr { round, client, code, msg })
+    }
+}
+
+/// `K_ACK` body: the server's verdict on an upload attempt.
+struct Ack {
+    round: u64,
+    client: u64,
+    status: u8,
+}
+
+impl Ack {
+    fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::with_capacity(17);
+        w.u64(self.round).u64(self.client).u8(self.status);
+        w.into_bytes()
+    }
+
+    fn decode(body: &[u8]) -> io::Result<Self> {
+        let mut r = Reader::new(body);
+        let ack = Ack { round: r.u64()?, client: r.u64()?, status: r.u8()? };
+        r.finish()?;
+        Ok(ack)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -552,27 +600,14 @@ fn serve_download(
     body: &[u8],
     time_scale: f64,
 ) -> Result<(), TransportError> {
-    let parse = |e: io::Error| TransportError::Protocol {
-        detail: format!("malformed broadcast frame: {e}"),
-    };
-    let round = get_u64(body, 0).map_err(parse)?;
-    let client = get_u64(body, 8).map_err(parse)?;
-    let delay_s = f64::from_bits(get_u64(body, 16).map_err(parse)?);
-    let deadline_s = f64::from_bits(get_u64(body, 24).map_err(parse)?);
-    let up_len = get_u64(body, 32).map_err(parse)?;
-    let declared_len = get_u64(body, 40).map_err(parse)?;
-    let payload = body.get(48..).ok_or_else(|| TransportError::Protocol {
-        detail: "broadcast frame shorter than its fixed header".into(),
-    })?;
+    let Down { round, client, delay_s, deadline_s, up_len, declared_len, payload } =
+        Down::decode(body).map_err(|e| TransportError::Protocol {
+            detail: format!("malformed broadcast frame: {e}"),
+        })?;
 
     let send_err = |stream: &mut TcpStream, code: u8, msg: &str| {
-        let mut err_body = Vec::with_capacity(16 + 9 + msg.len());
-        err_body.extend_from_slice(&round.to_le_bytes());
-        err_body.extend_from_slice(&client.to_le_bytes());
-        err_body.push(code);
-        err_body.extend_from_slice(&(msg.len() as u64).to_le_bytes());
-        err_body.extend_from_slice(msg.as_bytes());
-        write_frame(stream, K_UP_ERR, &err_body)
+        let body = UpErr { round, client, code, msg: msg.into() }.encode();
+        write_frame(stream, K_UP_ERR, &body)
             .map(|_| ())
             .map_err(|e| TransportError::Io { context: "reporting a client failure", source: e })
     };
@@ -600,13 +635,8 @@ fn serve_download(
     let report = build_payload(up_len, filler_seed(round, client, DIR_UP), None);
     let mut attempt = 1u64;
     loop {
-        let mut up_body = Vec::with_capacity(32 + report.len());
-        up_body.extend_from_slice(&round.to_le_bytes());
-        up_body.extend_from_slice(&client.to_le_bytes());
-        up_body.extend_from_slice(&attempt.to_le_bytes());
-        up_body.extend_from_slice(&up_len.to_le_bytes());
-        up_body.extend_from_slice(&report);
-        write_frame(stream, K_UP, &up_body)
+        let up = Up { round, client, attempt, up_len, report: &report }.encode();
+        write_frame(stream, K_UP, &up)
             .map_err(|e| TransportError::Io { context: "uploading a report", source: e })?;
         let (kind, ack, _) = read_frame(stream)
             .map_err(|e| TransportError::Io { context: "awaiting an ack", source: e })?;
@@ -615,21 +645,23 @@ fn serve_download(
                 detail: format!("expected ack, got frame kind {kind}"),
             });
         }
-        let ack_round = get_u64(&ack, 0).map_err(parse)?;
-        let ack_client = get_u64(&ack, 8).map_err(parse)?;
-        if ack_round != round || ack_client != client {
+        let ack = Ack::decode(&ack).map_err(|e| TransportError::Protocol {
+            detail: format!("malformed ack frame: {e}"),
+        })?;
+        if ack.round != round || ack.client != client {
             return Err(TransportError::Protocol {
                 detail: format!(
-                    "ack for round {ack_round} client {ack_client}, expected round {round} client {client}"
+                    "ack for round {} client {}, expected round {round} client {client}",
+                    ack.round, ack.client
                 ),
             });
         }
-        match ack.get(16).copied() {
-            Some(ACK_ACCEPTED) | Some(ACK_GIVE_UP) => return Ok(()),
-            Some(ACK_RETRY) => attempt += 1,
+        match ack.status {
+            ACK_ACCEPTED | ACK_GIVE_UP => return Ok(()),
+            ACK_RETRY => attempt += 1,
             other => {
                 return Err(TransportError::Protocol {
-                    detail: format!("unknown ack status {other:?}"),
+                    detail: format!("unknown ack status {other}"),
                 })
             }
         }
@@ -827,7 +859,8 @@ impl SocketTransport {
                             detail: format!("expected hello, got frame kind {kind}"),
                         });
                     }
-                    let id = get_u64(&body, 0).map_err(|e| TransportError::Protocol {
+                    let id = Reader::new(&body[..]).u64();
+                    let id = id.map_err(|e| TransportError::Protocol {
                         detail: format!("malformed hello: {e}"),
                     })? as usize;
                     if id >= n || slots[id].is_some() {
@@ -977,14 +1010,16 @@ impl SocketTransport {
         };
         let deadline_s = self.deadline_s.unwrap_or(f64::INFINITY);
 
-        let mut body = Vec::with_capacity(48 + down.len());
-        body.extend_from_slice(&(round as u64).to_le_bytes());
-        body.extend_from_slice(&(client as u64).to_le_bytes());
-        body.extend_from_slice(&delay_s.to_bits().to_le_bytes());
-        body.extend_from_slice(&deadline_s.to_bits().to_le_bytes());
-        body.extend_from_slice(&payload.up_bytes.to_le_bytes());
-        body.extend_from_slice(&payload.down_bytes.to_le_bytes());
-        body.extend_from_slice(&down);
+        let body = Down {
+            round: round as u64,
+            client: client as u64,
+            delay_s,
+            deadline_s,
+            up_len: payload.up_bytes,
+            declared_len: payload.down_bytes,
+            payload: &down,
+        }
+        .encode();
         let down_sent = down.len() as u64;
         self.send(worker, K_DOWN, &body)?;
         measured.down_bytes += down_sent;
@@ -995,7 +1030,7 @@ impl SocketTransport {
         match outcome {
             ClientOutcome::DroppedBeforeDownload => unreachable!("handled above"),
             ClientOutcome::DroppedAfterDownload => {
-                let (code, _, msg) = self.expect_up_err(worker, round, client)?;
+                let (code, msg) = self.expect_up_err(worker, round, client)?;
                 if code != ERR_DECODE {
                     return Err(desync(format!(
                         "planned a corrupted broadcast, worker reported code {code} ({msg})"
@@ -1003,7 +1038,7 @@ impl SocketTransport {
                 }
             }
             ClientOutcome::StragglerTimedOut { .. } => {
-                let (code, _, msg) = self.expect_up_err(worker, round, client)?;
+                let (code, msg) = self.expect_up_err(worker, round, client)?;
                 if code != ERR_TIMED_OUT {
                     return Err(desync(format!(
                         "planned a timed-out straggler, worker reported code {code} ({msg})"
@@ -1053,11 +1088,8 @@ impl SocketTransport {
     ) -> Result<Vec<u8>, TransportError> {
         let (kind, body) = self.recv(worker)?;
         let desync = |detail: String| TransportError::Desync { round, client, detail };
-        let parse = |e: io::Error| TransportError::Protocol {
-            detail: format!("malformed upload frame: {e}"),
-        };
         if kind == K_UP_ERR {
-            let msg = Self::up_err_message(&body);
+            let msg = UpErr::decode(&body).map_or_else(|_| "<unreadable>".into(), |e| e.msg);
             return Err(desync(format!("expected upload attempt {attempt}, worker failed: {msg}")));
         }
         if kind != K_UP {
@@ -1065,28 +1097,27 @@ impl SocketTransport {
                 detail: format!("expected upload, got frame kind {kind}"),
             });
         }
-        let got_round = get_u64(&body, 0).map_err(parse)? as usize;
-        let got_client = get_u64(&body, 8).map_err(parse)? as usize;
-        let got_attempt = get_u64(&body, 16).map_err(parse)?;
-        if got_round != round || got_client != client || got_attempt != attempt {
+        let up = Up::decode(&body).map_err(|e| TransportError::Protocol {
+            detail: format!("malformed upload frame: {e}"),
+        })?;
+        if (up.round, up.client, up.attempt) != (round as u64, client as u64, attempt) {
             return Err(desync(format!(
-                "upload tagged round {got_round} client {got_client} attempt {got_attempt}, \
-                 expected round {round} client {client} attempt {attempt}"
+                "upload tagged round {} client {} attempt {}, \
+                 expected round {round} client {client} attempt {attempt}",
+                up.round, up.client, up.attempt
             )));
         }
-        if body.len() < 32 {
-            return Err(parse(io::Error::new(io::ErrorKind::InvalidData, "missing payload")));
-        }
-        Ok(body[32..].to_vec())
+        Ok(up.report.to_vec())
     }
 
-    /// Receive a terminal failure report, verifying round/client.
+    /// Receive a terminal failure report, verifying round/client; returns
+    /// its code and message.
     fn expect_up_err(
         &mut self,
         worker: usize,
         round: usize,
         client: usize,
-    ) -> Result<(u8, u64, String), TransportError> {
+    ) -> Result<(u8, String), TransportError> {
         let (kind, body) = self.recv(worker)?;
         if kind == K_UP {
             return Err(TransportError::Desync {
@@ -1100,27 +1131,20 @@ impl SocketTransport {
                 detail: format!("expected failure report, got frame kind {kind}"),
             });
         }
-        let parse = |e: io::Error| TransportError::Protocol {
+        let report = UpErr::decode(&body).map_err(|e| TransportError::Protocol {
             detail: format!("malformed failure report: {e}"),
-        };
-        let got_round = get_u64(&body, 0).map_err(parse)? as usize;
-        let got_client = get_u64(&body, 8).map_err(parse)? as usize;
-        if got_round != round || got_client != client {
+        })?;
+        if (report.round, report.client) != (round as u64, client as u64) {
             return Err(TransportError::Desync {
                 round,
                 client,
-                detail: format!("failure report tagged round {got_round} client {got_client}"),
+                detail: format!(
+                    "failure report tagged round {} client {}",
+                    report.round, report.client
+                ),
             });
         }
-        let code = body.get(16).copied().unwrap_or(0);
-        Ok((code, 0, Self::up_err_message(&body)))
-    }
-
-    fn up_err_message(body: &[u8]) -> String {
-        let len = get_u64(body, 17).unwrap_or(0) as usize;
-        body.get(25..25 + len)
-            .map(|b| String::from_utf8_lossy(b).into_owned())
-            .unwrap_or_else(|| "<unreadable>".into())
+        Ok((report.code, report.msg))
     }
 
     fn send_ack(
@@ -1130,10 +1154,7 @@ impl SocketTransport {
         client: usize,
         status: u8,
     ) -> Result<(), TransportError> {
-        let mut body = Vec::with_capacity(17);
-        body.extend_from_slice(&(round as u64).to_le_bytes());
-        body.extend_from_slice(&(client as u64).to_le_bytes());
-        body.push(status);
+        let body = Ack { round: round as u64, client: client as u64, status }.encode();
         self.send(worker, K_ACK, &body).map(|_| ())
     }
 
@@ -1206,10 +1227,62 @@ mod tests {
     }
 
     #[test]
-    fn crc32_matches_known_vectors() {
-        // IEEE CRC-32 of "123456789" is the classic check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+    fn frames_payload_envelopes_and_filler_seeds_are_pinned() {
+        use crate::codec_tests::{hex, tiny_quantized};
+        let frame = |kind: u8, body: &[u8]| {
+            let mut wire = Vec::new();
+            write_frame(&mut wire, kind, body).unwrap();
+            hex(&wire)
+        };
+        assert_eq!(filler_seed(3, 7, DIR_DOWN), 0x7d01_28d5_9a4d_6cfd);
+        assert_eq!(filler_seed(u64::MAX, 0, DIR_UP), 0xf64f_1f21_45d7_e230);
+        let wire = tiny_quantized().to_wire();
+        let envelope = build_payload(1 + 8 + wire.len() as u64 + 4 + 7, 9, Some(&wire));
+        assert_eq!(
+            hex(&envelope),
+            format!("015a00000000000000{}45e70fc7744ad1d68b2bc3", crate::codec_tests::QWIRE_HEX)
+        );
+
+        let hello = frame(K_HELLO, &7u64.to_le_bytes());
+        assert_eq!(hello, "4b4d465401080000000700000000000000f409b7fb");
+        let payload = build_payload(32, filler_seed(3, 7, DIR_DOWN), None);
+        let down = Down {
+            round: 3,
+            client: 7,
+            delay_s: 1.5,
+            deadline_s: f64::INFINITY,
+            up_len: 24,
+            declared_len: 32,
+            payload: &payload,
+        };
+        assert_eq!(
+            frame(K_DOWN, &down.encode()),
+            "4b4d4654025000000003000000000000000700000000000000000000000000f83f000000000000f07f18\
+             00000000000000200000000000000000544478c4a635c2119e6442650da07fe7d7eee36226b058d898a9\
+             45735d6bc69b55e5bb"
+        );
+        assert_eq!(Down::decode(&down.encode()).unwrap().encode(), down.encode());
+        let report = build_payload(24, filler_seed(3, 7, DIR_UP), None);
+        let up = Up { round: 3, client: 7, attempt: 2, up_len: 24, report: &report };
+        assert_eq!(
+            frame(K_UP, &up.encode()),
+            "4b4d46540338000000030000000000000007000000000000000200000000000000180000000000000000\
+             781526ff5ec2befeff2d8027c9f6837ed27e6f0bfb28b09377b49b"
+        );
+        assert_eq!(Up::decode(&up.encode()).unwrap().encode(), up.encode());
+        let err = UpErr { round: 3, client: 7, code: ERR_DECODE, msg: "bad".into() };
+        assert_eq!(
+            frame(K_UP_ERR, &err.encode()),
+            "4b4d4654041c00000003000000000000000700000000000000010300000000000000626164c4cc8dc0"
+        );
+        assert_eq!(UpErr::decode(&err.encode()).unwrap().encode(), err.encode());
+        let ack = Ack { round: 3, client: 7, status: ACK_RETRY };
+        assert_eq!(
+            frame(K_ACK, &ack.encode()),
+            "4b4d46540511000000030000000000000007000000000000000171a81dc3"
+        );
+        assert_eq!(Ack::decode(&ack.encode()).unwrap().encode(), ack.encode());
+        assert_eq!(frame(K_SHUTDOWN, &[]), "4b4d46540600000000b84a613b");
     }
 
     #[test]

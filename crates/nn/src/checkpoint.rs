@@ -1,18 +1,16 @@
 //! Binary checkpointing: a tiny self-describing format (magic, version,
-//! section lengths, little-endian payload) so long federated runs can
-//! persist and resume without a serialization framework.
+//! section lengths, little-endian payload, all through [`crate::codec`])
+//! so long federated runs can persist and resume without a
+//! serialization framework.
 //!
-//! Two formats share the `KEMFCKPT` magic:
-//!
-//! * **v1** ([`save_state`]/[`load_state`]) — a single [`ModelState`],
-//!   the original global-model checkpoint;
-//! * **v2** ([`save_bundle`]/[`load_bundle`]) — a [`CheckpointBundle`]:
-//!   opaque metadata bytes plus named models, named dimension-tagged f32
-//!   arrays, and named f64 scalars. This is the container the federated
-//!   engine's resumable-run checkpoints are built on: one file holds a
-//!   whole algorithm's state (knowledge network, per-client local
-//!   models, control variates, consensus logits) next to the engine's
-//!   own round/RNG/history metadata.
+//! A **bundle** (`KEMFCKPT` magic, version 2; [`save_bundle`]/
+//! [`load_bundle`]) is a [`CheckpointBundle`]: opaque metadata bytes plus
+//! named models, named dimension-tagged f32 arrays, and named f64
+//! scalars. It is the container for a single saved model (one model
+//! section), the federated engine's resumable-run checkpoints (one file
+//! holds a whole algorithm's state — knowledge network, per-client local
+//! models, control variates, consensus logits — next to the engine's own
+//! round/RNG/history metadata) and the client store's spill files.
 //!
 //! All writes are **crash-consistent**: the bytes land in a `*.tmp`
 //! sibling first, are fsynced, and are renamed over the destination only
@@ -23,14 +21,13 @@
 //! Load errors always name the offending file and, for version
 //! mismatches, the expected-vs-found version.
 
-use crate::serialize::{ModelState, Weights};
+use crate::codec::{invalid, Reader, Writer};
+use crate::serialize::ModelState;
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 8] = b"KEMFCKPT";
-/// Format version of a single-model checkpoint ([`save_state`]).
-pub const STATE_VERSION: u32 = 1;
 /// Format version of a multi-model bundle ([`save_bundle`]).
 pub const BUNDLE_VERSION: u32 = 2;
 
@@ -54,10 +51,6 @@ pub struct CheckpointBundle {
 /// file failed, not just the bare reason.
 fn with_path(path: &Path, e: io::Error) -> io::Error {
     io::Error::new(e.kind(), format!("checkpoint {}: {e}", path.display()))
-}
-
-fn bad_data(path: &Path, msg: impl std::fmt::Display) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("checkpoint {}: {msg}", path.display()))
 }
 
 /// The path a partially-written checkpoint occupies until the atomic
@@ -91,158 +84,37 @@ pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
     Ok(())
 }
 
-// ---- primitive encode/decode ------------------------------------------
+// ---- bundle ------------------------------------------------------------
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_weights(out: &mut Vec<u8>, w: &Weights) {
-    put_u64(out, w.lens.len() as u64);
-    for &l in &w.lens {
-        put_u64(out, l as u64);
+/// Serialize a bundle from borrowed sections, so callers whose state
+/// lives in other shapes (run checkpoints, spill blobs) write without
+/// cloning a single model or tensor.
+pub fn encode_bundle_parts<'a>(
+    meta: &[u8],
+    models: &[(String, ModelState)],
+    arrays: impl ExactSizeIterator<Item = (&'a str, &'a [usize], &'a [f32])>,
+    scalars: &[(String, f64)],
+) -> Vec<u8> {
+    let mut w = Writer::default();
+    w.raw(MAGIC).u32(BUNDLE_VERSION).bytes(meta).usize(models.len());
+    for (name, state) in models {
+        w.str(name).model_state(state);
     }
-    put_u64(out, w.values.len() as u64);
-    for &v in &w.values {
-        out.extend_from_slice(&v.to_le_bytes());
+    w.usize(arrays.len());
+    for (name, dims, values) in arrays {
+        w.str(name).usizes(dims).f32s(values);
     }
-}
-
-fn read_u64(inp: &mut impl Read) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    inp.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn read_f32(inp: &mut impl Read) -> io::Result<f32> {
-    let mut b = [0u8; 4];
-    inp.read_exact(&mut b)?;
-    Ok(f32::from_le_bytes(b))
-}
-
-/// Bounded length guard: a corrupt header must fail cleanly instead of
-/// asking the allocator for exabytes.
-fn checked_len(n: u64, what: &str) -> io::Result<usize> {
-    const MAX: u64 = 1 << 33; // 8 GiB of elements: far beyond any real run
-    if n > MAX {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("implausible {what} length {n}"),
-        ));
+    w.usize(scalars.len());
+    for (name, v) in scalars {
+        w.str(name).f64(*v);
     }
-    Ok(n as usize)
+    w.into_bytes()
 }
-
-fn read_str(inp: &mut impl Read) -> io::Result<String> {
-    let n = checked_len(read_u64(inp)?, "string")?;
-    let mut buf = vec![0u8; n];
-    inp.read_exact(&mut buf)?;
-    String::from_utf8(buf)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 section name"))
-}
-
-fn read_weights(inp: &mut impl Read) -> io::Result<Weights> {
-    let n_lens = checked_len(read_u64(inp)?, "lens")?;
-    let mut lens = Vec::with_capacity(n_lens);
-    for _ in 0..n_lens {
-        lens.push(read_u64(inp)? as usize);
-    }
-    let n_vals = checked_len(read_u64(inp)?, "values")?;
-    let expected: usize = lens.iter().sum();
-    if n_vals != expected {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("value count {n_vals} does not match lens sum {expected}"),
-        ));
-    }
-    let mut values = Vec::with_capacity(n_vals);
-    for _ in 0..n_vals {
-        values.push(read_f32(inp)?);
-    }
-    Ok(Weights { values, lens })
-}
-
-fn read_header(inp: &mut impl Read, path: &Path, expected_version: u32) -> io::Result<()> {
-    let mut magic = [0u8; 8];
-    inp.read_exact(&mut magic).map_err(|e| with_path(path, e))?;
-    if &magic != MAGIC {
-        return Err(bad_data(path, "not a kemf checkpoint (bad magic)"));
-    }
-    let mut ver = [0u8; 4];
-    inp.read_exact(&mut ver).map_err(|e| with_path(path, e))?;
-    let version = u32::from_le_bytes(ver);
-    if version != expected_version {
-        return Err(bad_data(
-            path,
-            format!("version mismatch: expected {expected_version}, found {version}"),
-        ));
-    }
-    Ok(())
-}
-
-// ---- v1: single model state -------------------------------------------
-
-/// Write a model state to `path` crash-consistently (tmp + fsync +
-/// rename).
-pub fn save_state(state: &ModelState, path: impl AsRef<Path>) -> io::Result<()> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&STATE_VERSION.to_le_bytes());
-    put_weights(&mut out, &state.params);
-    put_weights(&mut out, &state.buffers);
-    atomic_write(path, &out)
-}
-
-/// Read a model state from `path`; validates magic, version, and
-/// self-consistency of the section lengths. Errors name the file and,
-/// on a version mismatch, the expected and found versions.
-pub fn load_state(path: impl AsRef<Path>) -> io::Result<ModelState> {
-    let path = path.as_ref();
-    let mut inp = io::BufReader::new(File::open(path).map_err(|e| with_path(path, e))?);
-    read_header(&mut inp, path, STATE_VERSION)?;
-    let params = read_weights(&mut inp).map_err(|e| with_path(path, e))?;
-    let buffers = read_weights(&mut inp).map_err(|e| with_path(path, e))?;
-    Ok(ModelState { params, buffers })
-}
-
-// ---- v2: multi-model bundle -------------------------------------------
 
 /// Serialize a bundle to its on-disk byte layout (without writing).
 pub fn encode_bundle(bundle: &CheckpointBundle) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&BUNDLE_VERSION.to_le_bytes());
-    put_u64(&mut out, bundle.meta.len() as u64);
-    out.extend_from_slice(&bundle.meta);
-    put_u64(&mut out, bundle.models.len() as u64);
-    for (name, state) in &bundle.models {
-        put_str(&mut out, name);
-        put_weights(&mut out, &state.params);
-        put_weights(&mut out, &state.buffers);
-    }
-    put_u64(&mut out, bundle.arrays.len() as u64);
-    for (name, dims, values) in &bundle.arrays {
-        put_str(&mut out, name);
-        put_u64(&mut out, dims.len() as u64);
-        for &d in dims {
-            put_u64(&mut out, d as u64);
-        }
-        put_u64(&mut out, values.len() as u64);
-        for &v in values {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    put_u64(&mut out, bundle.scalars.len() as u64);
-    for (name, v) in &bundle.scalars {
-        put_str(&mut out, name);
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
+    let arrays = bundle.arrays.iter().map(|(n, d, v)| (n.as_str(), d.as_slice(), v.as_slice()));
+    encode_bundle_parts(&bundle.meta, &bundle.models, arrays, &bundle.scalars)
 }
 
 /// Write a multi-model bundle to `path` crash-consistently.
@@ -250,66 +122,49 @@ pub fn save_bundle(bundle: &CheckpointBundle, path: impl AsRef<Path>) -> io::Res
     atomic_write(path, &encode_bundle(bundle))
 }
 
-/// Read a multi-model bundle from `path`. Errors name the file and, on a
-/// version mismatch, the expected and found versions; trailing garbage
-/// after the last section is rejected.
-pub fn load_bundle(path: impl AsRef<Path>) -> io::Result<CheckpointBundle> {
-    let path = path.as_ref();
-    let mut inp = io::BufReader::new(File::open(path).map_err(|e| with_path(path, e))?);
-    read_header(&mut inp, path, BUNDLE_VERSION)?;
-    let wrap = |e: io::Error| with_path(path, e);
-
-    let meta_len = checked_len(read_u64(&mut inp).map_err(wrap)?, "meta").map_err(wrap)?;
-    let mut meta = vec![0u8; meta_len];
-    inp.read_exact(&mut meta).map_err(wrap)?;
-
-    let n_models = checked_len(read_u64(&mut inp).map_err(wrap)?, "models").map_err(wrap)?;
-    let mut models = Vec::with_capacity(n_models);
-    for _ in 0..n_models {
-        let name = read_str(&mut inp).map_err(wrap)?;
-        let params = read_weights(&mut inp).map_err(wrap)?;
-        let buffers = read_weights(&mut inp).map_err(wrap)?;
-        models.push((name, ModelState { params, buffers }));
+/// Decode a whole bundle from `r`: magic, version, sections, and nothing
+/// after the last section. A version mismatch names the expected and
+/// found versions.
+pub fn read_bundle(r: &mut Reader<impl Read>) -> io::Result<CheckpointBundle> {
+    if &r.array::<8>()? != MAGIC {
+        return Err(invalid("not a kemf checkpoint (bad magic)"));
     }
-
-    let n_arrays = checked_len(read_u64(&mut inp).map_err(wrap)?, "arrays").map_err(wrap)?;
-    let mut arrays = Vec::with_capacity(n_arrays);
-    for _ in 0..n_arrays {
-        let name = read_str(&mut inp).map_err(wrap)?;
-        let n_dims = checked_len(read_u64(&mut inp).map_err(wrap)?, "dims").map_err(wrap)?;
-        let mut dims = Vec::with_capacity(n_dims);
-        for _ in 0..n_dims {
-            dims.push(read_u64(&mut inp).map_err(wrap)? as usize);
-        }
-        let n_vals = checked_len(read_u64(&mut inp).map_err(wrap)?, "array values").map_err(wrap)?;
-        let expected: usize = dims.iter().product();
-        if n_vals != expected {
-            return Err(bad_data(
-                path,
-                format!("array `{name}`: {n_vals} values do not fill dims {dims:?}"),
-            ));
-        }
-        let mut values = Vec::with_capacity(n_vals);
-        for _ in 0..n_vals {
-            values.push(read_f32(&mut inp).map_err(wrap)?);
+    let version = r.u32()?;
+    if version != BUNDLE_VERSION {
+        return Err(invalid(format!(
+            "version mismatch: expected {BUNDLE_VERSION}, found {version}"
+        )));
+    }
+    let meta = r.bytes()?;
+    let mut models = Vec::new();
+    for _ in 0..r.count()? {
+        models.push((r.str()?, r.model_state()?));
+    }
+    let mut arrays = Vec::new();
+    for _ in 0..r.count()? {
+        let (name, dims, values) = (r.str()?, r.usizes()?, r.f32s()?);
+        if dims.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d)) != Some(values.len()) {
+            let n = values.len();
+            return Err(invalid(format!("array `{name}`: {n} values do not fill dims {dims:?}")));
         }
         arrays.push((name, dims, values));
     }
-
-    let n_scalars = checked_len(read_u64(&mut inp).map_err(wrap)?, "scalars").map_err(wrap)?;
-    let mut scalars = Vec::with_capacity(n_scalars);
-    for _ in 0..n_scalars {
-        let name = read_str(&mut inp).map_err(wrap)?;
-        let mut b = [0u8; 8];
-        inp.read_exact(&mut b).map_err(wrap)?;
-        scalars.push((name, f64::from_le_bytes(b)));
+    let mut scalars = Vec::new();
+    for _ in 0..r.count()? {
+        scalars.push((r.str()?, r.f64()?));
     }
-
-    let mut trailing = [0u8; 1];
-    if inp.read(&mut trailing).map_err(wrap)? != 0 {
-        return Err(bad_data(path, "trailing bytes after last section"));
-    }
+    r.finish()?;
     Ok(CheckpointBundle { meta, models, arrays, scalars })
+}
+
+/// Read a multi-model bundle from `path`. Errors name the file; every
+/// malformed file is [`io::ErrorKind::InvalidData`].
+pub fn load_bundle(path: impl AsRef<Path>) -> io::Result<CheckpointBundle> {
+    let path = path.as_ref();
+    let file = File::open(path).map_err(|e| with_path(path, e))?;
+    let len = file.metadata().map_err(|e| with_path(path, e))?.len();
+    let mut r = Reader::with_len(io::BufReader::new(file), len);
+    read_bundle(&mut r).map_err(|e| with_path(path, e))
 }
 
 #[cfg(test)]
@@ -324,14 +179,18 @@ mod tests {
         p
     }
 
+    fn one_model(state: ModelState) -> CheckpointBundle {
+        CheckpointBundle { models: vec![("model".into(), state)], ..Default::default() }
+    }
+
     #[test]
     fn roundtrip_is_exact() {
         let spec = ModelSpec::scaled(Arch::ResNet20, 3, 16, 10, 7);
         let m = Model::new(spec);
         let state = m.state();
         let path = tmp("roundtrip");
-        save_state(&state, &path).unwrap();
-        let loaded = load_state(&path).unwrap();
+        save_bundle(&one_model(state.clone()), &path).unwrap();
+        let loaded = load_bundle(&path).unwrap().models.remove(0).1;
         assert_eq!(loaded, state);
         let mut m2 = Model::new(ModelSpec { seed: 99, ..spec });
         m2.set_state(&loaded);
@@ -340,52 +199,39 @@ mod tests {
     }
 
     #[test]
-    fn rejects_garbage_file() {
+    fn rejects_garbage_and_truncated_files() {
         let path = tmp("garbage");
         std::fs::write(&path, b"definitely not a checkpoint").unwrap();
-        assert!(load_state(&path).is_err());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn rejects_truncated_file() {
-        let spec = ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 1);
-        let state = Model::new(spec).state();
-        let path = tmp("trunc");
-        save_state(&state, &path).unwrap();
+        let err = load_bundle(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let state = Model::new(ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 1)).state();
+        save_bundle(&one_model(state), &path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        assert!(load_state(&path).is_err());
+        assert_eq!(load_bundle(&path).unwrap_err().kind(), io::ErrorKind::InvalidData);
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn missing_file_is_clean_error() {
-        assert!(load_state("/nonexistent/kemf.ckpt").is_err());
     }
 
     #[test]
     fn load_errors_name_the_file() {
         let path = tmp("named_err");
         std::fs::write(&path, b"garbage garbage garbage").unwrap();
-        let err = load_state(&path).unwrap_err().to_string();
+        let err = load_bundle(&path).unwrap_err().to_string();
         assert!(err.contains(path.to_str().unwrap()), "error lacks path: {err}");
-        let err = load_state("/nonexistent/kemf.ckpt").unwrap_err().to_string();
+        let err = load_bundle("/nonexistent/kemf.ckpt").unwrap_err().to_string();
         assert!(err.contains("/nonexistent/kemf.ckpt"), "error lacks path: {err}");
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn version_mismatch_reports_expected_and_found() {
-        // A v2 bundle read through the v1 loader (and vice versa) names
-        // both versions, so operators can tell stale tooling from
+        // A file from the retired single-model format (version 1) names
+        // both versions, so operators can tell stale files from
         // corruption.
         let path = tmp("vers");
-        save_bundle(&CheckpointBundle::default(), &path).unwrap();
-        let err = load_state(&path).unwrap_err().to_string();
-        assert!(err.contains("expected 1") && err.contains("found 2"), "bad message: {err}");
-        let spec = ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 1);
-        save_state(&Model::new(spec).state(), &path).unwrap();
+        let mut bytes = encode_bundle(&CheckpointBundle::default());
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
         let err = load_bundle(&path).unwrap_err().to_string();
         assert!(err.contains("expected 2") && err.contains("found 1"), "bad message: {err}");
         let _ = std::fs::remove_file(&path);

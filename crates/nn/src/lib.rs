@@ -21,6 +21,7 @@
 
 pub mod activation;
 pub mod checkpoint;
+pub mod codec;
 pub mod cnn_util;
 pub mod groupnorm;
 pub mod conv2d;

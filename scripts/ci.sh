@@ -9,7 +9,7 @@ cargo test -q
 # (cohort-batch bit-identity, corrupt-checkpoint errors), the
 # zero-allocation test and the SIMD-tier proptests live in member crates.
 cargo test --workspace -q
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 # Kernel smoke: run every GEMM/int8 bench code path with a tiny time
 # budget (no JSON write). Catches dispatch-tier crashes — e.g. an AVX-512

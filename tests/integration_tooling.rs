@@ -5,7 +5,7 @@
 use fedkemf::fl::compress::{dequantize, max_abs_error, quantize, DEFAULT_CHUNK};
 use fedkemf::fl::engine::{Engine, FedAlgorithm};
 use fedkemf::fl::network::NetworkModel;
-use fedkemf::nn::checkpoint::{load_state, save_state};
+use fedkemf::nn::checkpoint::{load_bundle, save_bundle, CheckpointBundle};
 use fedkemf::prelude::*;
 
 fn run(algo: &mut dyn FedAlgorithm, ctx: &FlContext) -> History {
@@ -38,10 +38,12 @@ fn checkpoint_resume_preserves_global_model() {
     let (spec, state) = algo.global_model().unwrap();
     let mut path = std::env::temp_dir();
     path.push(format!("kemf_integration_{}.ckpt", std::process::id()));
-    save_state(&state, &path).unwrap();
+    let models = vec![("global".into(), state.clone())];
+    let bundle = CheckpointBundle { models, ..Default::default() };
+    save_bundle(&bundle, &path).unwrap();
 
     // "New process": rebuild the model from the checkpoint alone.
-    let restored = load_state(&path).unwrap();
+    let restored = load_bundle(&path).unwrap().models.remove(0).1;
     let mut a = Model::new(spec);
     a.set_state(&state);
     let mut b = Model::new(spec);
