@@ -33,7 +33,6 @@ fn main() {
             clients.clone(),
             task.generate_unlabeled(spec.pool_samples(), 2),
             10,
-            FedMdConfig::default(),
         )),
         Box::new(FedKemf::new(FedKemfConfig::uniform(
             knowledge,

@@ -5,9 +5,9 @@
 use crate::ensemble::{ensemble_logits, EnsembleStrategy};
 use kemf_fl::compress::ComputePrecision;
 use kemf_nn::layer::Precision;
-use kemf_nn::loss::{kl_to_target_ws, soften};
+use kemf_nn::loss::{kl_to_target, kl_to_target_ws, soften};
 use kemf_nn::model::Model;
-use kemf_nn::optim::{Sgd, SgdConfig};
+use kemf_nn::optim::{clip_grad_norm, Sgd, SgdConfig};
 use kemf_tensor::rng::seeded_rng;
 use kemf_tensor::Tensor;
 use rand::seq::SliceRandom;
@@ -113,7 +113,7 @@ pub fn distill_ensemble(
             student.recycle(grad);
             student.recycle(gx);
             if cfg.clip_norm > 0.0 {
-                let _ = kemf_nn::optim::clip_grad_norm(student.net_mut(), cfg.clip_norm);
+                let _ = clip_grad_norm(student.net_mut(), cfg.clip_norm);
             }
             opt.step(student.net_mut());
             loss_sum += loss as f64;
@@ -124,6 +124,42 @@ pub fn distill_ensemble(
         out.last_epoch_loss = (loss_sum / batches.max(1) as f64) as f32;
     }
     out
+}
+
+/// Distill `model` toward fixed soft `targets` (one row per `images`
+/// row) for `epochs`: seeded shuffle, 32-sample chunks, KL at
+/// `temperature`, gradient clip at 5.0, SGD at `sgd`. This is the
+/// digestion step of the logit-exchange algorithms (FedMD and FedGEMS
+/// clients, FedGEMS's server). Returns the steps taken.
+pub fn distill_toward(
+    model: &mut Model,
+    images: &Tensor,
+    targets: &Tensor,
+    epochs: usize,
+    temperature: f32,
+    sgd: SgdConfig,
+    seed: u64,
+) -> usize {
+    let n = images.dims()[0];
+    let mut opt = Sgd::new(sgd);
+    let mut rng = seeded_rng(seed);
+    let mut steps = 0;
+    for _ in 0..epochs {
+        let mut order: Vec<usize> = (0..n).collect();
+        order.shuffle(&mut rng);
+        for chunk in order.chunks(32) {
+            let x = images.gather_rows(chunk);
+            let t = targets.gather_rows(chunk);
+            model.zero_grad();
+            let logits = model.forward(&x, true);
+            let (_, grad) = kl_to_target(&logits, &t, temperature);
+            let _ = model.backward(&grad);
+            let _ = clip_grad_norm(model.net_mut(), 5.0);
+            opt.step(model.net_mut());
+            steps += 1;
+        }
+    }
+    steps
 }
 
 #[cfg(test)]

@@ -6,21 +6,18 @@
 //! their ensemble on public data. Unlike FedKEMF there is no knowledge
 //! network: the full model crosses the wire every round.
 
-use crate::distill::{distill_ensemble, DistillConfig};
-use crate::fusion::weight_average_fusion_weighted;
-use kemf_fl::config::ConfigError;
+use crate::distill::DistillConfig;
+use crate::fusion::{FusionMode, StateFusion};
 use kemf_fl::context::FlContext;
 use kemf_fl::engine::{train_cohort_in_batches, EngineError, FedAlgorithm, RoundOutcome};
 use kemf_fl::lifecycle::{ClientPlan, ModelView, WirePayload};
 use kemf_fl::local::LocalCfg;
-use kemf_fl::scheduler::{PreparedUpdate, UpdatePayload};
+use kemf_fl::scheduler::PreparedUpdate;
 use kemf_fl::state::{check_model_layout, AlgorithmState, RestoreError};
-use kemf_fl::trace::{Phase, RoundScope};
+use kemf_fl::trace::RoundScope;
 use kemf_fl::weight_common::{fan_out_clients, GlobalModel};
-use kemf_nn::model::Model;
 use kemf_nn::models::ModelSpec;
 use kemf_nn::serialize::ModelState;
-use kemf_tensor::rng::child_seed;
 use kemf_tensor::Tensor;
 
 /// The FedDF baseline.
@@ -72,51 +69,19 @@ impl FedAlgorithm for FedDf {
         ctx: &FlContext,
         scope: &mut RoundScope<'_>,
     ) -> Result<RoundOutcome, EngineError> {
-        if updates.is_empty() {
-            return Ok(RoundOutcome { train_loss: f32::NAN });
+        let fusion = StateFusion {
+            mode: FusionMode::EnsembleDistill,
+            spec: self.global.spec,
+            pool: &self.pool,
+            distill: &self.distill,
+            salt: 0xDF,
+        };
+        let (fused, outcome) =
+            fusion.fuse(&self.name(), round, updates, ctx, scope, |_, _| Ok(()))?;
+        if let Some(state) = fused {
+            self.global.state = state;
         }
-        let mut states: Vec<ModelState> = Vec::with_capacity(updates.len());
-        let mut sample_counts: Vec<usize> = Vec::with_capacity(updates.len());
-        let mut weights: Vec<f32> = Vec::with_capacity(updates.len());
-        let mut loss_sum = 0.0f32;
-        for (u, w) in updates {
-            let UpdatePayload::State(state) = u.payload else {
-                return Err(EngineError::Config(ConfigError::AlgorithmSetup {
-                    algorithm: self.name(),
-                    reason: format!("client {}: expected a model-state payload", u.client),
-                }));
-            };
-            states.push(state);
-            sample_counts.push(u.n_samples);
-            weights.push(w);
-            loss_sum += u.loss;
-        }
-        let reported = states.len();
-        scope.phase(Phase::Fusion, |c| {
-            c.clients = reported;
-            // Staleness discounting shapes the warm-start average; the
-            // distillation pass treats every teacher alike (see DESIGN.md).
-            let mut student = Model::new(self.global.spec);
-            student.set_state(&weight_average_fusion_weighted(
-                &states,
-                &sample_counts,
-                &weights,
-            ));
-            let mut teachers: Vec<Model> = states
-                .iter()
-                .map(|s| {
-                    let mut t = Model::new(self.global.spec);
-                    t.set_state(s);
-                    t
-                })
-                .collect();
-            let seed = child_seed(ctx.cfg.seed, 0xDF ^ round as u64);
-            let out = distill_ensemble(&mut student, &mut teachers, &self.pool, &self.distill, seed);
-            c.steps = out.steps as u64;
-            c.batches = out.batches as u64;
-            self.global.state = student.state();
-        });
-        Ok(RoundOutcome { train_loss: loss_sum / reported as f32 })
+        Ok(outcome)
     }
 
     fn evaluate(&mut self, ctx: &FlContext) -> f32 {
@@ -147,6 +112,7 @@ mod tests {
     use kemf_fl::config::FlConfig;
     use kemf_fl::engine::{Engine, RunOptions};
     use kemf_fl::metrics::History;
+    use kemf_nn::model::Model;
     use kemf_nn::models::Arch;
 
     fn run(algo: &mut dyn FedAlgorithm, ctx: &FlContext) -> History {

@@ -22,25 +22,27 @@
 //! engine bill that honestly while `evaluate()` reports the big server
 //! model's accuracy.
 
-use crate::fedkemf::{fresh_local_blob, model_from_blob};
-use kemf_fl::client_store::{ClientBlob, ClientStateStore, SpillConfig, StoreError};
+use crate::distill::distill_toward;
+use crate::fedmd::{Digest, LogitClients};
+use kemf_fl::client_store::SpillConfig;
 use kemf_fl::config::ConfigError;
 use kemf_fl::context::FlContext;
-use kemf_fl::engine::{train_cohort_in_batches, EngineError, FedAlgorithm, RoundOutcome};
-use kemf_fl::lifecycle::{ClientPlan, ModelView, WirePayload};
-use kemf_fl::local::{local_train, LocalCfg};
-use kemf_fl::scheduler::{PreparedUpdate, UpdatePayload};
-use kemf_fl::state::{check_model_layout, AlgorithmState, RestoreError, TensorBlob};
+use kemf_fl::engine::{EngineError, FedAlgorithm, RoundOutcome};
+use kemf_fl::lifecycle::ClientPlan;
+use kemf_fl::scheduler::PreparedUpdate;
+use kemf_fl::state::{check_model_layout, AlgorithmState, RestoreError};
 use kemf_fl::trace::{Phase, RoundScope};
-use kemf_nn::loss::{kl_to_target, soften};
+use kemf_nn::loss::soften;
 use kemf_nn::model::Model;
 use kemf_nn::models::ModelSpec;
-use kemf_nn::optim::{clip_grad_norm, Sgd, SgdConfig};
-use kemf_tensor::rng::{child_seed, seeded_rng};
+use kemf_nn::optim::SgdConfig;
+use kemf_tensor::rng::child_seed;
 use kemf_tensor::Tensor;
-use rand::seq::SliceRandom;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+
+/// Checkpoint layout version: 2 since the local models moved into the
+/// client store's population section.
+const STATE_VERSION: u32 = 2;
 
 /// FedGEMS hyper-parameters.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -74,23 +76,18 @@ impl Default for FedGemsConfig {
 /// The FedGEMS algorithm: a large server model fed by selective
 /// client-logit fusion.
 pub struct FedGems {
-    /// Per-client model specs (may differ per client; all smaller than
-    /// the server).
-    client_specs: Vec<ModelSpec>,
+    /// Client models (may differ per client; all smaller than the
+    /// server) and the public pool whose logits are communicated.
+    clients: LogitClients,
     cfg: FedGemsConfig,
     /// The big server model's architecture.
     server_spec: ModelSpec,
     /// Server model weights (never communicated).
     server: kemf_nn::serialize::ModelState,
     eval_model: Model,
-    /// Public reference set whose logits are communicated.
-    public: Tensor,
     /// Has the server fused at least one cohort? Clients skip digestion
     /// of an untrained (freshly initialized) server.
     server_trained: bool,
-    store: ClientStateStore,
-    spill: Option<SpillConfig>,
-    classes: usize,
 }
 
 /// Max softmax probability of one logit row (confidence of the
@@ -108,41 +105,6 @@ fn row_confidence(row: &[f32]) -> (usize, f32) {
     (arg, 1.0 / denom)
 }
 
-/// Distill `model` toward softened `targets` on `images` for `epochs`,
-/// mirroring FedMD's digestion loop (seeded shuffle, 32-sample chunks,
-/// gradient clipping at 5.0). `sgd.lr` is the distillation rate, not
-/// the supervised one — callers override it.
-fn distill_toward(
-    model: &mut Model,
-    images: &Tensor,
-    targets: &Tensor,
-    epochs: usize,
-    temperature: f32,
-    sgd: SgdConfig,
-    seed: u64,
-) -> usize {
-    let n = images.dims()[0];
-    let mut opt = Sgd::new(sgd);
-    let mut rng = seeded_rng(seed);
-    let mut steps = 0;
-    for _ in 0..epochs {
-        let mut order: Vec<usize> = (0..n).collect();
-        order.shuffle(&mut rng);
-        for chunk in order.chunks(32) {
-            let x = images.gather_rows(chunk);
-            let t = targets.gather_rows(chunk);
-            model.zero_grad();
-            let logits = model.forward(&x, true);
-            let (_, grad) = kl_to_target(&logits, &t, temperature);
-            let _ = model.backward(&grad);
-            let _ = clip_grad_norm(model.net_mut(), 5.0);
-            opt.step(model.net_mut());
-            steps += 1;
-        }
-    }
-    steps
-}
-
 impl FedGems {
     /// New FedGEMS population: per-client specs, the (larger) server
     /// spec, and the public pool whose logits cross the wire.
@@ -153,33 +115,24 @@ impl FedGems {
         classes: usize,
         cfg: FedGemsConfig,
     ) -> Self {
-        assert!(!client_specs.is_empty(), "need at least one client spec");
+        let digest =
+            Digest { epochs: cfg.digest_epochs, temperature: cfg.temperature, lr: cfg.distill_lr };
+        let clients = LogitClients::new(client_specs, public, classes, digest, 0x4745_4D53);
         let eval_model = Model::new(server_spec);
         let server = eval_model.state();
-        FedGems {
-            client_specs,
-            cfg,
-            server_spec,
-            server,
-            eval_model,
-            public,
-            server_trained: false,
-            store: ClientStateStore::in_memory(0),
-            spill: None,
-            classes,
-        }
+        FedGems { clients, cfg, server_spec, server, eval_model, server_trained: false }
     }
 
     /// Spill per-client local models to `spill.dir` instead of holding
     /// `n_clients` of them resident.
     pub fn with_spill(mut self, spill: SpillConfig) -> Self {
-        self.spill = Some(spill);
+        self.clients = self.clients.with_spill(spill);
         self
     }
 
     /// Per-direction payload: the logit matrix on the public set.
     pub fn payload_bytes(&self) -> u64 {
-        (self.public.dims()[0] * self.classes * 4) as u64
+        self.clients.payload_bytes()
     }
 
     /// Server parameter count (for the ≥2×-any-client headline).
@@ -189,7 +142,9 @@ impl FedGems {
 
     /// Largest client parameter count.
     pub fn largest_client_params(&self) -> usize {
-        self.client_specs
+        self.clients
+            .locals
+            .specs()
             .iter()
             .map(|s| Model::new(*s).state().params.numel())
             .max()
@@ -199,7 +154,7 @@ impl FedGems {
     /// The server's current logits on the public pool.
     fn server_logits(&mut self) -> Tensor {
         self.eval_model.set_state(&self.server);
-        self.eval_model.predict_batch_stats(&self.public)
+        self.eval_model.predict_batch_stats(&self.clients.public)
     }
 
     /// Selective knowledge fusion (the algorithm's core): per public
@@ -214,8 +169,8 @@ impl FedGems {
         server_logits: &Tensor,
         members: &[(Tensor, f32)],
     ) -> (Tensor, usize) {
-        let pool = self.public.dims()[0];
-        let k = self.classes;
+        let pool = self.clients.public.dims()[0];
+        let k = self.clients.classes;
         let mut fused = vec![0.0f32; pool * k];
         let mut fallbacks = 0usize;
         let server_rows = server_logits.data();
@@ -269,7 +224,7 @@ impl FedGems {
         let seed = child_seed(ctx.cfg.seed, 0x4745_4D53 ^ (((round as u64) << 1) | 1));
         distill_toward(
             &mut server,
-            &self.public,
+            &self.clients.public,
             &targets,
             self.cfg.server_epochs,
             self.cfg.temperature,
@@ -287,16 +242,6 @@ impl FedAlgorithm for FedGems {
     }
 
     fn init(&mut self, ctx: &FlContext) -> Result<(), ConfigError> {
-        if self.client_specs.len() != ctx.cfg.n_clients {
-            return Err(ConfigError::AlgorithmSetup {
-                algorithm: self.name(),
-                reason: format!(
-                    "need one client spec per client: {} specs for {} clients",
-                    self.client_specs.len(),
-                    ctx.cfg.n_clients
-                ),
-            });
-        }
         if !(0.0..=1.0).contains(&self.cfg.confidence_threshold) {
             return Err(ConfigError::AlgorithmSetup {
                 algorithm: self.name(),
@@ -306,25 +251,12 @@ impl FedAlgorithm for FedGems {
                 ),
             });
         }
-        self.store = match &self.spill {
-            Some(spill) => ClientStateStore::sharded(ctx.cfg.n_clients, spill.clone())
-                .map_err(|e| ConfigError::AlgorithmSetup {
-                    algorithm: self.name(),
-                    reason: format!("opening spill store: {e}"),
-                })?,
-            None => {
-                let mut store = ClientStateStore::in_memory(ctx.cfg.n_clients);
-                let specs = &self.client_specs;
-                store.seed_all(|k| fresh_local_blob(specs[k]));
-                store
-            }
-        };
-        Ok(())
+        self.clients.open(self.name(), ctx.cfg.n_clients)
     }
 
     fn client_plans(&self, _round: usize, sampled: &[usize]) -> Vec<ClientPlan> {
         // Logits on the public pool each way, however large the server is.
-        ClientPlan::uniform(sampled, ModelView::Logits, WirePayload::symmetric(self.payload_bytes()))
+        self.clients.plans(sampled)
     }
 
     fn train_cohort(
@@ -334,8 +266,6 @@ impl FedAlgorithm for FedGems {
         ctx: &FlContext,
         scope: &mut RoundScope<'_>,
     ) -> Result<Vec<PreparedUpdate>, EngineError> {
-        self.store.begin_round(wave);
-        let local = LocalCfg::at(ctx, wave);
         // Broadcast: the server's current logits, softened for digestion.
         // A never-fused server is noise — clients skip digesting it.
         let broadcast = if self.server_trained {
@@ -343,50 +273,7 @@ impl FedAlgorithm for FedGems {
         } else {
             None
         };
-        train_cohort_in_batches(self, sampled, ctx, scope, |algo, batch| {
-            let mut locals: Vec<(usize, Model)> = Vec::with_capacity(batch.len());
-            for &k in batch {
-                let spec = algo.client_specs[k];
-                let blob = algo.store.fetch(k, |_| fresh_local_blob(spec))?;
-                locals.push((k, model_from_blob(&blob, k, spec)?));
-            }
-            let cfg = algo.cfg;
-            let public = &algo.public;
-            Ok(locals
-                .into_par_iter()
-                .map(|(k, mut model)| {
-                    let seed =
-                        child_seed(ctx.cfg.seed, 0x4745_4D53 ^ ((wave as u64) << 16 | k as u64));
-                    let digest_steps = if let Some(targets) = &broadcast {
-                        distill_toward(
-                            &mut model,
-                            public,
-                            targets,
-                            cfg.digest_epochs,
-                            cfg.temperature,
-                            SgdConfig { lr: cfg.distill_lr, ..local.sgd },
-                            seed,
-                        )
-                    } else {
-                        0
-                    };
-                    let shard = ctx.client_shard(k);
-                    let out = local_train(&mut model, &shard, &local, seed ^ 7, None);
-                    let logits = model.predict_batch_stats(public);
-                    PreparedUpdate {
-                        client: k,
-                        n_samples: ctx.client_shard_len(k),
-                        steps: digest_steps + out.steps,
-                        loss: out.mean_loss,
-                        payload: UpdatePayload::Logits(TensorBlob {
-                            dims: logits.dims().to_vec(),
-                            values: logits.data().to_vec(),
-                        }),
-                        commit: Some(ClientBlob::new().with_model("model", model.state())),
-                    }
-                })
-                .collect())
-        })
+        self.clients.train_cohort(broadcast.as_ref(), wave, sampled, ctx, scope)
     }
 
     fn fuse(
@@ -396,41 +283,16 @@ impl FedAlgorithm for FedGems {
         ctx: &FlContext,
         scope: &mut RoundScope<'_>,
     ) -> Result<RoundOutcome, EngineError> {
-        self.store.begin_round(round);
-        if updates.is_empty() {
-            return Ok(RoundOutcome { train_loss: f32::NAN });
+        let coeff = |n_samples, weight| weight * n_samples as f32;
+        let (members, train_loss) = self.clients.collect(&self.name(), round, updates, coeff)?;
+        if members.is_empty() {
+            return Ok(RoundOutcome { train_loss });
         }
-        let dims = [self.public.dims()[0], self.classes];
-        let mut members: Vec<(Tensor, f32)> = Vec::with_capacity(updates.len());
-        let mut loss_sum = 0.0f32;
-        for (u, w) in updates {
-            let UpdatePayload::Logits(blob) = u.payload else {
-                return Err(EngineError::Config(ConfigError::AlgorithmSetup {
-                    algorithm: self.name(),
-                    reason: format!("client {}: expected a logit payload", u.client),
-                }));
-            };
-            if blob.dims != dims {
-                return Err(EngineError::Config(ConfigError::AlgorithmSetup {
-                    algorithm: self.name(),
-                    reason: format!(
-                        "client {}: logit payload is {:?}, public set needs {dims:?}",
-                        u.client, blob.dims
-                    ),
-                }));
-            }
-            if let Some(commit) = u.commit {
-                self.store.commit(u.client, commit)?;
-            }
-            members.push((Tensor::from_vec(blob.values, &dims), w * u.n_samples as f32));
-            loss_sum += u.loss;
-        }
-        let reported = members.len();
         scope.phase(Phase::Fusion, |c| {
-            c.clients = reported;
+            c.clients = members.len();
             self.fuse_into_server(round, ctx, &members);
         });
-        Ok(RoundOutcome { train_loss: loss_sum / reported as f32 })
+        Ok(RoundOutcome { train_loss })
     }
 
     /// The headline metric: the *large server model's* accuracy on the
@@ -442,53 +304,19 @@ impl FedAlgorithm for FedGems {
     }
 
     fn state(&self) -> Result<AlgorithmState, EngineError> {
-        let mut s = AlgorithmState::new(self.name(), 1)
+        let mut s = AlgorithmState::new(self.name(), STATE_VERSION)
             .with_model("server", self.server.clone())
             .with_scalar("server_trained", self.server_trained as u64 as f64);
-        if self.store.is_sharded() {
-            s = s.with_scalar("sharded_clients", self.store.n_clients() as f64);
-        } else {
-            for k in 0..self.store.n_clients() {
-                let blob = self.store.read(k, |_| ClientBlob::new())?;
-                let m = blob.model("model").ok_or(StoreError::Corrupt {
-                    client: k,
-                    detail: "missing local-model entry `model`".into(),
-                })?;
-                s.push_model(format!("local.{k}"), m.clone());
-            }
-        }
+        self.clients.locals.write(&mut s);
         Ok(s)
     }
 
     fn restore(&mut self, state: &AlgorithmState) -> Result<(), RestoreError> {
-        state.expect_header(&self.name(), 1)?;
+        state.expect_header(&self.name(), STATE_VERSION)?;
         let server = state.model("server")?;
         check_model_layout("server", server, &self.server)?;
         let server_trained = state.scalar("server_trained")? != 0.0;
-        if self.store.is_sharded() {
-            let n = self.store.n_clients();
-            let recorded = state.scalar("sharded_clients")?;
-            if recorded != n as f64 {
-                return Err(RestoreError::ShapeMismatch {
-                    name: "sharded_clients".into(),
-                    detail: format!("checkpoint covers {recorded} clients, store has {n}"),
-                });
-            }
-        } else {
-            let n = self.store.n_clients();
-            for k in 0..n {
-                let name = format!("local.{k}");
-                let layout = Model::new(self.client_specs[k]).state();
-                check_model_layout(&name, state.model(&name)?, &layout)?;
-            }
-            for k in 0..n {
-                let name = format!("local.{k}");
-                let incoming = state.model(&name)?.clone();
-                self.store
-                    .commit(k, ClientBlob::new().with_model("model", incoming))
-                    .map_err(|e| RestoreError::Store { detail: e.to_string() })?;
-            }
-        }
+        self.clients.locals.restore(state)?;
         self.server = server.clone();
         self.server_trained = server_trained;
         Ok(())

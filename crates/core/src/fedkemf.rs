@@ -10,10 +10,11 @@
 //! 4. the local models never leave their devices, so clients may run
 //!    heterogeneous architectures sized to their resources.
 
-use crate::distill::{distill_ensemble, DistillConfig};
+use crate::distill::DistillConfig;
 use crate::dml::{dml_local_update, DmlConfig};
-use crate::fusion::{weight_average_fusion_weighted, FusionMode};
-use kemf_fl::client_store::{ClientBlob, ClientStateStore, SpillConfig, StoreError};
+use crate::fusion::{FusionMode, StateFusion};
+use crate::population::{mean, LocalModels};
+use kemf_fl::client_store::SpillConfig;
 use kemf_fl::config::ConfigError;
 use kemf_fl::context::FlContext;
 use kemf_fl::engine::{train_cohort_in_batches, EngineError, FedAlgorithm, RoundOutcome};
@@ -21,7 +22,7 @@ use kemf_fl::lifecycle::{ClientPlan, ModelView, WirePayload};
 use kemf_fl::local::{local_train, LocalCfg};
 use kemf_fl::scheduler::{PreparedUpdate, UpdatePayload};
 use kemf_fl::state::{check_model_layout, AlgorithmState, RestoreError};
-use kemf_fl::trace::{Phase, RoundScope};
+use kemf_fl::trace::RoundScope;
 use kemf_data::dataset::Dataset;
 use kemf_nn::model::Model;
 use kemf_nn::models::ModelSpec;
@@ -29,6 +30,10 @@ use kemf_nn::serialize::ModelState;
 use kemf_tensor::rng::child_seed;
 use kemf_tensor::Tensor;
 use rayon::prelude::*;
+
+/// Checkpoint layout version: 2 since the local models moved into the
+/// client store's population section.
+const STATE_VERSION: u32 = 2;
 
 /// FedKEMF configuration beyond the generic `FlConfig`.
 #[derive(Clone)]
@@ -46,8 +51,6 @@ pub struct FedKemfConfig {
     pub fusion: FusionMode,
     /// Weight of the mutual KL term in DML (1.0 = the paper).
     pub kl_weight: f32,
-    /// Mutual-target temperature in DML (1.0 = the paper).
-    pub dml_temperature: f32,
     /// Ablation switch: `false` decouples the networks (each trains on
     /// plain cross-entropy; no knowledge extraction).
     pub mutual: bool,
@@ -76,7 +79,6 @@ impl FedKemfConfig {
             // lets noisy early local models drag the knowledge network.
             // `paper_literal()` restores Algorithm 1 exactly.
             kl_weight: 0.3,
-            dml_temperature: 1.0,
             mutual: true,
             kl_warmup_rounds: 10,
             spill: None,
@@ -105,41 +107,9 @@ pub struct FedKemf {
     global_knowledge: ModelState,
     eval_model: Model,
     /// Persistent per-client local models (deployed on-device; never
-    /// communicated), fetched and committed through the client-state
-    /// store: resident for the classic in-memory mode, spilled to disk
-    /// for population-scale cohorts.
-    store: ClientStateStore,
-}
-
-/// A fresh (never-sampled) client's deployed model: built from its spec,
-/// whose seed makes it deterministic. Memory mode seeds every slot with
-/// this at init; sharded mode materializes it lazily on first fetch.
-pub(crate) fn fresh_local_blob(spec: ModelSpec) -> ClientBlob {
-    ClientBlob::new().with_model("model", Model::new(spec).state())
-}
-
-/// Rebuild client `k`'s deployed model from its stored blob, with the
-/// layout validated against the client's spec as a typed error — a blob
-/// from the wrong population must not panic the training process.
-pub(crate) fn model_from_blob(blob: &ClientBlob, k: usize, spec: ModelSpec) -> Result<Model, StoreError> {
-    let st = blob.model("model").ok_or_else(|| StoreError::Corrupt {
-        client: k,
-        detail: "missing deployed-model entry `model`".into(),
-    })?;
-    let mut model = Model::new(spec);
-    let layout = model.state();
-    if st.params.lens != layout.params.lens || st.buffers.lens != layout.buffers.lens {
-        return Err(StoreError::Corrupt {
-            client: k,
-            detail: format!(
-                "stored model layout ({} params) does not match the client spec ({} params)",
-                st.params.numel(),
-                layout.params.numel()
-            ),
-        });
-    }
-    model.set_state(st);
-    Ok(model)
+    /// communicated): resident for the classic in-memory mode, spilled
+    /// to disk for population-scale cohorts.
+    locals: LocalModels,
 }
 
 impl FedKemf {
@@ -147,7 +117,8 @@ impl FedKemf {
     pub fn new(cfg: FedKemfConfig) -> Self {
         let eval_model = Model::new(cfg.knowledge_spec);
         let global_knowledge = eval_model.state();
-        FedKemf { cfg, global_knowledge, eval_model, store: ClientStateStore::in_memory(0) }
+        let locals = LocalModels::new(cfg.client_specs.clone());
+        FedKemf { cfg, global_knowledge, eval_model, locals }
     }
 
     /// Current global knowledge-network state.
@@ -171,24 +142,7 @@ impl FedKemf {
         client_tests: &[Dataset],
         eval_batch: usize,
     ) -> Result<Vec<f32>, EngineError> {
-        if client_tests.len() != self.store.n_clients() {
-            return Err(EngineError::Config(ConfigError::AlgorithmSetup {
-                algorithm: self.name(),
-                reason: format!(
-                    "need one test set per client: {} sets for {} clients",
-                    client_tests.len(),
-                    self.store.n_clients()
-                ),
-            }));
-        }
-        let mut out = Vec::with_capacity(client_tests.len());
-        for (k, t) in client_tests.iter().enumerate() {
-            let spec = self.cfg.client_specs[k];
-            let blob = self.store.read(k, |_| fresh_local_blob(spec))?;
-            let mut model = model_from_blob(&blob, k, spec)?;
-            out.push(model.evaluate(&t.images, &t.labels, eval_batch));
-        }
-        Ok(out)
+        self.locals.per_client_accuracies(self.name(), client_tests, eval_batch)
     }
 
     /// Average accuracy of the deployed local models on per-client test
@@ -198,8 +152,7 @@ impl FedKemf {
         client_tests: &[Dataset],
         eval_batch: usize,
     ) -> Result<f32, EngineError> {
-        let per_client = self.evaluate_local_models_per_client(client_tests, eval_batch)?;
-        Ok(per_client.iter().sum::<f32>() / per_client.len().max(1) as f32)
+        Ok(mean(&self.evaluate_local_models_per_client(client_tests, eval_batch)?))
     }
 }
 
@@ -212,30 +165,7 @@ impl FedAlgorithm for FedKemf {
     }
 
     fn init(&mut self, ctx: &FlContext) -> Result<(), ConfigError> {
-        if self.cfg.client_specs.len() != ctx.cfg.n_clients {
-            return Err(ConfigError::AlgorithmSetup {
-                algorithm: self.name(),
-                reason: format!(
-                    "need one client spec per client: {} specs for {} clients",
-                    self.cfg.client_specs.len(),
-                    ctx.cfg.n_clients
-                ),
-            });
-        }
-        self.store = match &self.cfg.spill {
-            Some(spill) => ClientStateStore::sharded(ctx.cfg.n_clients, spill.clone())
-                .map_err(|e| ConfigError::AlgorithmSetup {
-                    algorithm: self.name(),
-                    reason: format!("opening spill store: {e}"),
-                })?,
-            None => {
-                let mut store = ClientStateStore::in_memory(ctx.cfg.n_clients);
-                let specs = &self.cfg.client_specs;
-                store.seed_all(|k| fresh_local_blob(specs[k]));
-                store
-            }
-        };
-        Ok(())
+        self.locals.open(self.name(), ctx.cfg.n_clients, self.cfg.spill.as_ref())
     }
 
     fn client_plans(&self, _round: usize, sampled: &[usize]) -> Vec<ClientPlan> {
@@ -250,35 +180,24 @@ impl FedAlgorithm for FedKemf {
         ctx: &FlContext,
         scope: &mut RoundScope<'_>,
     ) -> Result<Vec<PreparedUpdate>, EngineError> {
-        self.store.begin_round(wave);
+        self.locals.begin_round(wave);
         let ramp = if self.cfg.kl_warmup_rounds == 0 {
             1.0
         } else {
             ((wave + 1) as f32 / self.cfg.kl_warmup_rounds as f32).min(1.0)
         };
         let dml_cfg = DmlConfig {
-            epochs: ctx.cfg.local_epochs,
-            batch: ctx.cfg.batch_size,
-            sgd: ctx.cfg.sgd_at(wave),
             kl_weight: self.cfg.kl_weight * ramp,
-            temperature: self.cfg.dml_temperature,
-            clip_norm: 5.0,
+            ..DmlConfig::new(ctx.cfg.local_epochs, ctx.cfg.batch_size, ctx.cfg.sgd_at(wave))
         };
+        let global = &self.global_knowledge;
+        let knowledge_spec = self.cfg.knowledge_spec;
+        let mutual = self.cfg.mutual;
         // Only the tiny uploaded knowledge networks outlive a batch, so
         // local-update memory is O(batch · local + cohort · knet).
-        train_cohort_in_batches(self, sampled, ctx, scope, |algo, batch| {
-            // Sequential fetch (the store is `&mut self`): rebuild each
-            // sampled client's deployed model.
-            let mut locals: Vec<(usize, Model)> = Vec::with_capacity(batch.len());
-            for &k in batch {
-                let spec = algo.cfg.client_specs[k];
-                let blob = algo.store.fetch(k, |_| fresh_local_blob(spec))?;
-                locals.push((k, model_from_blob(&blob, k, spec)?));
-            }
-            let global = &algo.global_knowledge;
-            let knowledge_spec = algo.cfg.knowledge_spec;
-            let mutual = algo.cfg.mutual;
+        train_cohort_in_batches(&mut self.locals, sampled, ctx, scope, |locals, batch| {
             Ok(locals
+                .fetch_batch(batch)?
                 .into_par_iter()
                 .map(|(k, mut local)| {
                     let mut knowledge = Model::new(knowledge_spec);
@@ -309,7 +228,7 @@ impl FedAlgorithm for FedKemf {
                         steps,
                         loss,
                         payload: UpdatePayload::State(knowledge.state()),
-                        commit: Some(ClientBlob::new().with_model("model", local.state())),
+                        commit: Some(LocalModels::blob(&local)),
                     }
                 })
                 .collect())
@@ -323,74 +242,22 @@ impl FedAlgorithm for FedKemf {
         ctx: &FlContext,
         scope: &mut RoundScope<'_>,
     ) -> Result<RoundOutcome, EngineError> {
-        self.store.begin_round(round);
-        if updates.is_empty() {
-            return Ok(RoundOutcome { train_loss: f32::NAN });
+        self.locals.begin_round(round);
+        let name = self.name();
+        let fusion = StateFusion {
+            mode: self.cfg.fusion,
+            spec: self.cfg.knowledge_spec,
+            pool: &self.cfg.public_pool,
+            distill: &self.cfg.distill,
+            salt: 0xD157,
+        };
+        let locals = &mut self.locals;
+        let (fused, outcome) =
+            fusion.fuse(&name, round, updates, ctx, scope, |k, blob| locals.commit(k, blob))?;
+        if let Some(state) = fused {
+            self.global_knowledge = state;
         }
-        let mut states: Vec<ModelState> = Vec::with_capacity(updates.len());
-        let mut sample_counts: Vec<usize> = Vec::with_capacity(updates.len());
-        let mut weights: Vec<f32> = Vec::with_capacity(updates.len());
-        let mut loss_sum = 0.0f32;
-        for (u, w) in updates {
-            let UpdatePayload::State(state) = u.payload else {
-                return Err(EngineError::Config(ConfigError::AlgorithmSetup {
-                    algorithm: self.name(),
-                    reason: format!(
-                        "client {}: expected a knowledge-network state payload",
-                        u.client
-                    ),
-                }));
-            };
-            if let Some(blob) = u.commit {
-                self.store.commit(u.client, blob)?;
-            }
-            states.push(state);
-            sample_counts.push(u.n_samples);
-            weights.push(w);
-            loss_sum += u.loss;
-        }
-        let train_loss = loss_sum / states.len() as f32;
-        scope.phase(Phase::Fusion, |c| {
-            c.clients = states.len();
-            match self.cfg.fusion {
-                FusionMode::EnsembleDistill => {
-                    // Staleness discounting applies to the warm-start
-                    // average; the distillation pass itself treats every
-                    // teacher alike (MaxLogits has no weighted analogue —
-                    // see DESIGN.md).
-                    let mut student = Model::new(self.cfg.knowledge_spec);
-                    student.set_state(&weight_average_fusion_weighted(
-                        &states,
-                        &sample_counts,
-                        &weights,
-                    ));
-                    let mut teachers: Vec<Model> = states
-                        .iter()
-                        .map(|s| {
-                            let mut t = Model::new(self.cfg.knowledge_spec);
-                            t.set_state(s);
-                            t
-                        })
-                        .collect();
-                    let seed = child_seed(ctx.cfg.seed, 0xD157 ^ round as u64);
-                    let out = distill_ensemble(
-                        &mut student,
-                        &mut teachers,
-                        &self.cfg.public_pool,
-                        &self.cfg.distill,
-                        seed,
-                    );
-                    c.steps = out.steps as u64;
-                    c.batches = out.batches as u64;
-                    self.global_knowledge = student.state();
-                }
-                FusionMode::WeightAverage => {
-                    self.global_knowledge =
-                        weight_average_fusion_weighted(&states, &sample_counts, &weights);
-                }
-            }
-        });
-        Ok(RoundOutcome { train_loss })
+        Ok(outcome)
     }
 
     fn evaluate(&mut self, ctx: &FlContext) -> f32 {
@@ -402,56 +269,18 @@ impl FedAlgorithm for FedKemf {
     fn state(&self) -> Result<AlgorithmState, EngineError> {
         // The local models never leave their devices in the protocol, but
         // a checkpoint is the device: dropping them would silently reset
-        // every client's deployed model on resume. In sharded mode they
-        // already live in the spill directory (write-through commits), so
-        // the checkpoint carries only the population size for validation.
-        let mut s = AlgorithmState::new(self.name(), 1)
+        // every client's deployed model on resume.
+        let mut s = AlgorithmState::new(self.name(), STATE_VERSION)
             .with_model("knowledge", self.global_knowledge.clone());
-        if self.store.is_sharded() {
-            s = s.with_scalar("sharded_clients", self.store.n_clients() as f64);
-        } else {
-            for k in 0..self.store.n_clients() {
-                let blob = self.store.read(k, |_| ClientBlob::new())?;
-                let m = blob.model("model").ok_or(StoreError::Corrupt {
-                    client: k,
-                    detail: "missing deployed-model entry `model`".into(),
-                })?;
-                s.push_model(format!("local.{k}"), m.clone());
-            }
-        }
+        self.locals.write(&mut s);
         Ok(s)
     }
 
     fn restore(&mut self, state: &AlgorithmState) -> Result<(), RestoreError> {
-        state.expect_header(&self.name(), 1)?;
+        state.expect_header(&self.name(), STATE_VERSION)?;
         let knowledge = state.model("knowledge")?;
         check_model_layout("knowledge", knowledge, &self.global_knowledge)?;
-        if self.store.is_sharded() {
-            let n = self.store.n_clients();
-            let recorded = state.scalar("sharded_clients")?;
-            if recorded != n as f64 {
-                return Err(RestoreError::ShapeMismatch {
-                    name: "sharded_clients".into(),
-                    detail: format!("checkpoint covers {recorded} clients, store has {n}"),
-                });
-            }
-        } else {
-            // Pre-check every local model before mutating anything, so a
-            // failed restore leaves the instance untouched.
-            let n = self.store.n_clients();
-            for k in 0..n {
-                let name = format!("local.{k}");
-                let layout = Model::new(self.cfg.client_specs[k]).state();
-                check_model_layout(&name, state.model(&name)?, &layout)?;
-            }
-            for k in 0..n {
-                let name = format!("local.{k}");
-                let incoming = state.model(&name)?.clone();
-                self.store
-                    .commit(k, ClientBlob::new().with_model("model", incoming))
-                    .map_err(|e| RestoreError::Store { detail: e.to_string() })?;
-            }
-        }
+        self.locals.restore(state)?;
         self.global_knowledge = knowledge.clone();
         Ok(())
     }
@@ -532,10 +361,11 @@ mod tests {
         let h = run(&mut algo, &ctx);
         assert!(h.accuracies().iter().all(|a| a.is_finite()));
         // Stored local models kept their per-client architectures: each
-        // blob's parameter layout matches the client's own spec.
+        // checkpointed model's parameter layout matches the client's own
+        // spec.
+        let state = algo.state().unwrap();
         for (k, spec) in specs.iter().enumerate() {
-            let blob = algo.store.read(k, |_| ClientBlob::new()).unwrap();
-            let stored = blob.model("model").unwrap();
+            let stored = state.model(&format!("client.{k}.model")).unwrap();
             assert_eq!(stored.params.lens, Model::new(*spec).state().params.lens);
         }
         // Per-client local evaluation works and all models learned

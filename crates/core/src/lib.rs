@@ -46,6 +46,7 @@ pub mod fedgems;
 pub mod fedkemf;
 pub mod fedmd;
 pub mod fusion;
+mod population;
 pub mod resource;
 
 pub mod prelude {
@@ -58,7 +59,7 @@ pub mod prelude {
     pub use crate::feddf::FedDf;
     pub use crate::fedgems::{FedGems, FedGemsConfig};
     pub use crate::fedkemf::{FedKemf, FedKemfConfig};
-    pub use crate::fedmd::{FedMd, FedMdConfig};
+    pub use crate::fedmd::FedMd;
     pub use crate::fusion::{weight_average_fusion_weighted, FusionMode};
     pub use crate::resource::{assign_tiers, heterogeneous_specs, uniform_specs, ResourceTier};
 }

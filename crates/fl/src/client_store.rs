@@ -11,7 +11,7 @@
 //! Two backends share one API:
 //!
 //! * **Memory** — the classic layout, a slot per client, seeded eagerly
-//!   at `init`. `fetch` *clones* the slot instead of taking it, so a
+//!   by [`ClientStateStore::open`]. `fetch` *clones* the slot instead of taking it, so a
 //!   slot is never left vacant mid-round: the `take().expect("model
 //!   present")` panic class is gone structurally, not by adding checks.
 //! * **Sharded** — nothing resident. `commit` writes the client's blob
@@ -19,6 +19,13 @@
 //!   (`shard_XXXX/cNNNNNNNNN_rRRRRRR.ckpt`), `fetch` reads it back when
 //!   the client is next sampled. Peak memory is O(cohort batch), not
 //!   O(population).
+//!
+//! **One population section.** An algorithm opens its store with
+//! [`ClientStateStore::open`] (spill config plus the fresh-client
+//! function) and checkpoints it with
+//! [`ClientStateStore::write_population`] /
+//! [`ClientStateStore::restore_population`]: the marker alone in sharded
+//! mode, every client's blob entries in memory mode.
 //!
 //! **Crash consistency without a journal.** Spill files are stamped
 //! with the round that wrote them and are never pruned or rewritten in
@@ -41,7 +48,9 @@
 //! exactly like a checkpoint directory; point different runs at
 //! different directories.
 
-use crate::state::TensorBlob;
+use crate::state::{
+    check_model_layout, check_tensor_dims, AlgorithmState, RestoreError, TensorBlob,
+};
 use kemf_nn::checkpoint::{atomic_write, encode_bundle_parts, load_bundle};
 use kemf_nn::codec::{Reader, Writer};
 use kemf_nn::serialize::ModelState;
@@ -125,11 +134,6 @@ pub enum StoreError {
         /// Population size the store was built for.
         n_clients: usize,
     },
-    /// A memory-backend slot was read before the store was seeded.
-    Missing {
-        /// The empty slot.
-        client: usize,
-    },
     /// A spill file exists but its contents do not belong to this
     /// client/round (foreign file, truncation the bundle format cannot
     /// see, or a blob missing a required entry).
@@ -153,9 +157,6 @@ impl fmt::Display for StoreError {
         match self {
             StoreError::UnknownClient { client, n_clients } => {
                 write!(f, "client {client} is outside the population of {n_clients}")
-            }
-            StoreError::Missing { client } => {
-                write!(f, "client {client} has no resident state (store was never seeded)")
             }
             StoreError::Corrupt { client, detail } => {
                 write!(f, "client {client} spill state is corrupt: {detail}")
@@ -188,12 +189,15 @@ impl SpillConfig {
 /// scan.
 const CLIENTS_PER_SHARD_DIR: usize = 4096;
 
+/// The scalar a sharded population writes into checkpoint state.
+const SHARDED_MARKER: &str = "sharded_clients";
+
 /// Format version tag inside a spill bundle's meta section.
 const BLOB_META_VERSION: u32 = 1;
 
 enum Backend {
     /// One slot per client, all resident.
-    Memory(Vec<Option<ClientBlob>>),
+    Memory(Vec<ClientBlob>),
     /// Write-through disk spill; `stamps[k]` holds the rounds with a
     /// spill file for client `k`, ascending.
     Sharded { dir: PathBuf, stamps: HashMap<usize, Vec<usize>> },
@@ -206,14 +210,30 @@ pub struct ClientStateStore {
     backend: Backend,
 }
 
+/// The empty resident population an algorithm holds before `init` opens
+/// its real store.
+impl Default for ClientStateStore {
+    fn default() -> Self {
+        ClientStateStore { n_clients: 0, round: 0, backend: Backend::Memory(Vec::new()) }
+    }
+}
+
 impl ClientStateStore {
-    /// Fully resident store with one (initially empty) slot per client.
-    /// Seed it with [`ClientStateStore::seed_all`] before fetching.
-    pub fn in_memory(n_clients: usize) -> Self {
-        ClientStateStore {
-            n_clients,
-            round: 0,
-            backend: Backend::Memory(vec![None; n_clients]),
+    /// The store an algorithm keeps its per-client state in: spilled to
+    /// `spill.dir` when `spill` is set, otherwise resident with every
+    /// slot seeded from `fresh` (a never-sampled client's state).
+    pub fn open(
+        n_clients: usize,
+        spill: Option<&SpillConfig>,
+        fresh: impl Fn(usize) -> ClientBlob,
+    ) -> Result<Self, StoreError> {
+        match spill {
+            Some(spill) => ClientStateStore::sharded(n_clients, spill.clone()),
+            None => Ok(ClientStateStore {
+                n_clients,
+                round: 0,
+                backend: Backend::Memory((0..n_clients).map(fresh).collect()),
+            }),
         }
     }
 
@@ -233,25 +253,10 @@ impl ClientStateStore {
         self.n_clients
     }
 
-    /// Whether this store spills to disk.
-    pub fn is_sharded(&self) -> bool {
-        matches!(self.backend, Backend::Sharded { .. })
-    }
-
     /// Enter round `round`: subsequent [`fetch`](Self::fetch) calls take
     /// the newest state committed strictly before it.
     pub fn begin_round(&mut self, round: usize) {
         self.round = round;
-    }
-
-    /// Seed every memory slot from `init` (no-op for a sharded store,
-    /// which materializes lazily through `fetch`'s `init`).
-    pub fn seed_all(&mut self, mut init: impl FnMut(usize) -> ClientBlob) {
-        if let Backend::Memory(slots) = &mut self.backend {
-            for (k, slot) in slots.iter_mut().enumerate() {
-                *slot = Some(init(k));
-            }
-        }
     }
 
     /// The state client `k` starts the current round from: the memory
@@ -265,9 +270,7 @@ impl ClientStateStore {
     ) -> Result<ClientBlob, StoreError> {
         self.check_client(k)?;
         match &self.backend {
-            Backend::Memory(slots) => {
-                slots[k].clone().ok_or(StoreError::Missing { client: k })
-            }
+            Backend::Memory(slots) => Ok(slots[k].clone()),
             Backend::Sharded { dir, stamps } => {
                 let newest = newest_stamp(stamps, k, |r| r < self.round);
                 match newest {
@@ -288,9 +291,7 @@ impl ClientStateStore {
     ) -> Result<ClientBlob, StoreError> {
         self.check_client(k)?;
         match &self.backend {
-            Backend::Memory(slots) => {
-                slots[k].clone().ok_or(StoreError::Missing { client: k })
-            }
+            Backend::Memory(slots) => Ok(slots[k].clone()),
             Backend::Sharded { dir, stamps } => {
                 let newest = newest_stamp(stamps, k, |r| r <= self.round);
                 match newest {
@@ -308,7 +309,7 @@ impl ClientStateStore {
         self.check_client(k)?;
         match &mut self.backend {
             Backend::Memory(slots) => {
-                slots[k] = Some(blob);
+                slots[k] = blob;
                 Ok(())
             }
             Backend::Sharded { dir, stamps } => {
@@ -324,6 +325,84 @@ impl ClientStateStore {
                 Ok(())
             }
         }
+    }
+
+    /// Append this population to an algorithm's checkpoint state. A
+    /// sharded store writes only its population size under
+    /// `"sharded_clients"`: client state already lives in the spill
+    /// directory (write-through commits), and restore uses the size to
+    /// refuse a mismatched spill. A resident store writes every client's
+    /// blob entries as `client.{k}.{entry}` models and tensors.
+    pub fn write_population(&self, state: &mut AlgorithmState) {
+        match &self.backend {
+            Backend::Sharded { .. } => {
+                state.scalars.push((SHARDED_MARKER.into(), self.n_clients as f64));
+            }
+            Backend::Memory(slots) => {
+                for (k, blob) in slots.iter().enumerate() {
+                    for (name, model) in &blob.models {
+                        state.push_model(format!("client.{k}.{name}"), model.clone());
+                    }
+                    for (name, t) in &blob.tensors {
+                        let (dims, values) = (t.dims.clone(), t.values.clone());
+                        state.push_tensor(format!("client.{k}.{name}"), dims, values);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Restore the population [`write_population`](Self::write_population)
+    /// wrote. A resident store checks every client's entries against the
+    /// layout of `fresh(k)` (same entry names and shapes) before it
+    /// commits anything, so a failed restore leaves the store untouched.
+    pub fn restore_population(
+        &mut self,
+        state: &AlgorithmState,
+        fresh: impl Fn(usize) -> ClientBlob,
+    ) -> Result<(), RestoreError> {
+        let n = self.n_clients;
+        let Backend::Memory(slots) = &mut self.backend else {
+            let recorded = state.scalar(SHARDED_MARKER)?;
+            if recorded != n as f64 {
+                return Err(RestoreError::ShapeMismatch {
+                    name: SHARDED_MARKER.into(),
+                    detail: format!("checkpoint covers {recorded} clients, store has {n}"),
+                });
+            }
+            return Ok(());
+        };
+        let mut incoming = Vec::with_capacity(n);
+        for k in 0..n {
+            let layout = fresh(k);
+            let mut blob = ClientBlob::new();
+            for (name, live) in &layout.models {
+                let entry = format!("client.{k}.{name}");
+                let model = state.model(&entry)?;
+                check_model_layout(&entry, model, live)?;
+                blob.models.push((name.clone(), model.clone()));
+            }
+            for (name, live) in &layout.tensors {
+                let entry = format!("client.{k}.{name}");
+                let t = state.tensor(&entry)?;
+                check_tensor_dims(&entry, t, &live.dims)?;
+                blob.tensors.push((name.clone(), t.clone()));
+            }
+            incoming.push(blob);
+        }
+        // Entries beyond these clients mean a larger population wrote
+        // the state.
+        let expected: usize = incoming.iter().map(|b| b.models.len() + b.tensors.len()).sum();
+        let names = state.models.iter().map(|(n, _)| n).chain(state.tensors.iter().map(|(n, _)| n));
+        let found = names.filter(|n| n.starts_with("client.")).count();
+        if found != expected {
+            return Err(RestoreError::ShapeMismatch {
+                name: "client.*".into(),
+                detail: format!("checkpoint holds {found} client entries, {n} clients need {expected}"),
+            });
+        }
+        *slots = incoming;
+        Ok(())
     }
 
     fn check_client(&self, k: usize) -> Result<(), StoreError> {
@@ -459,16 +538,12 @@ mod tests {
 
     #[test]
     fn memory_fetch_clones_and_commit_overwrites() {
-        let mut store = ClientStateStore::in_memory(3);
-        assert!(matches!(
-            store.fetch(0, |_| blob(0.0)),
-            Err(StoreError::Missing { client: 0 })
-        ));
-        store.seed_all(|k| blob(k as f32));
+        let mut store = ClientStateStore::open(3, None, |k| blob(k as f32)).unwrap();
         // Fetch twice: the slot is cloned, never vacated.
         let a = store.fetch(1, |_| unreachable!()).unwrap();
         let b = store.fetch(1, |_| unreachable!()).unwrap();
         assert_eq!(a, b);
+        assert_eq!(a.tensor("c").unwrap().values[0], 1.0, "seeded from fresh");
         store.commit(1, blob(9.0)).unwrap();
         let c = store.read(1, |_| unreachable!()).unwrap();
         assert_eq!(c.tensor("c").unwrap().values[0], 9.0);
@@ -478,11 +553,79 @@ mod tests {
         ));
     }
 
+    fn resident(store: &ClientStateStore) -> Vec<ClientBlob> {
+        (0..store.n_clients()).map(|k| store.read(k, |_| unreachable!()).unwrap()).collect()
+    }
+
+    #[test]
+    fn memory_population_round_trips_through_algorithm_state() {
+        let mut store = ClientStateStore::open(3, None, |k| blob(k as f32)).unwrap();
+        store.commit(2, blob(-4.0)).unwrap();
+        let mut state = AlgorithmState::new("X", 2);
+        store.write_population(&mut state);
+        assert!(state.model("client.2.model").is_ok());
+        assert_eq!(state.tensor("client.2.c").unwrap().values[0], -4.0);
+        let mut restored = ClientStateStore::open(3, None, |_| blob(0.0)).unwrap();
+        restored.restore_population(&state, |_| blob(0.0)).unwrap();
+        assert_eq!(resident(&restored), resident(&store));
+    }
+
+    #[test]
+    fn a_mismatch_in_any_one_client_leaves_the_population_untouched() {
+        let source = ClientStateStore::open(3, None, |k| blob(k as f32)).unwrap();
+        let mut state = AlgorithmState::new("X", 2);
+        source.write_population(&mut state);
+        let mut target = ClientStateStore::open(3, None, |_| blob(5.0)).unwrap();
+        let before = resident(&target);
+        // The last client's variate has the wrong length: clients 0 and 1
+        // are valid, and still must not be committed.
+        let mut bad = state.clone();
+        bad.tensors.iter_mut().find(|(n, _)| n == "client.2.c").unwrap().1.dims = vec![4];
+        assert!(matches!(
+            target.restore_population(&bad, |_| blob(5.0)),
+            Err(RestoreError::ShapeMismatch { name, .. }) if name == "client.2.c"
+        ));
+        assert_eq!(resident(&target), before);
+        // So is a population larger than the store's.
+        let mut larger = ClientStateStore::open(2, None, |_| blob(5.0)).unwrap();
+        let before_larger = resident(&larger);
+        assert!(matches!(
+            larger.restore_population(&state, |_| blob(5.0)),
+            Err(RestoreError::ShapeMismatch { name, .. }) if name == "client.*"
+        ));
+        assert_eq!(resident(&larger), before_larger);
+        // A missing client entry is refused the same way.
+        let mut short = state.clone();
+        short.models.retain(|(n, _)| n != "client.1.model");
+        assert!(matches!(
+            target.restore_population(&short, |_| blob(5.0)),
+            Err(RestoreError::MissingEntry { .. })
+        ));
+        assert_eq!(resident(&target), before);
+    }
+
+    #[test]
+    fn sharded_population_writes_only_its_size() {
+        let dir = tmpdir("marker");
+        let spill = SpillConfig::new(&dir);
+        let store = ClientStateStore::open(4, Some(&spill), |_| unreachable!()).unwrap();
+        let mut state = AlgorithmState::new("X", 2);
+        store.write_population(&mut state);
+        assert!(state.models.is_empty() && state.tensors.is_empty());
+        let mut same = ClientStateStore::sharded(4, SpillConfig::new(&dir)).unwrap();
+        same.restore_population(&state, |_| unreachable!()).unwrap();
+        let mut other = ClientStateStore::sharded(5, SpillConfig::new(&dir)).unwrap();
+        assert!(matches!(
+            other.restore_population(&state, |_| unreachable!()),
+            Err(RestoreError::ShapeMismatch { .. })
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn sharded_round_trips_bit_exactly_across_reopen() {
         let dir = tmpdir("rt");
         let mut store = ClientStateStore::sharded(10, SpillConfig::new(&dir)).unwrap();
-        assert!(store.is_sharded());
         store.begin_round(0);
         let original = blob(1.5);
         store.commit(4, original.clone()).unwrap();

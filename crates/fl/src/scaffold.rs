@@ -42,6 +42,10 @@ pub struct Scaffold {
     spill: Option<SpillConfig>,
 }
 
+/// Checkpoint layout version: 2 since the per-client variates moved into
+/// the store's population section.
+const STATE_VERSION: u32 = 2;
+
 /// A fresh client's control variate: all zeros, as the paper initializes.
 fn zero_variate(dim: usize) -> ClientBlob {
     ClientBlob::new().with_tensor("c", vec![dim], vec![0.0; dim])
@@ -69,7 +73,7 @@ impl Scaffold {
     pub fn new(spec: ModelSpec) -> Self {
         let global = GlobalModel::new(spec);
         let dim = global.state.params.numel();
-        Scaffold { global, c: vec![0.0; dim], store: ClientStateStore::in_memory(0), spill: None }
+        Scaffold { global, c: vec![0.0; dim], store: ClientStateStore::default(), spill: None }
     }
 
     /// Spill per-client control variates to `spill.dir` instead of
@@ -86,19 +90,14 @@ impl FedAlgorithm for Scaffold {
     }
 
     fn init(&mut self, ctx: &FlContext) -> Result<(), ConfigError> {
-        let dim = self.global.state.params.numel();
-        self.store = match &self.spill {
-            Some(spill) => ClientStateStore::sharded(ctx.cfg.n_clients, spill.clone())
-                .map_err(|e| ConfigError::AlgorithmSetup {
-                    algorithm: self.name(),
-                    reason: format!("opening spill store: {e}"),
-                })?,
-            None => {
-                let mut store = ClientStateStore::in_memory(ctx.cfg.n_clients);
-                store.seed_all(|_| zero_variate(dim));
-                store
-            }
-        };
+        let dim = self.c.len();
+        self.store = ClientStateStore::open(ctx.cfg.n_clients, self.spill.as_ref(), |_| {
+            zero_variate(dim)
+        })
+        .map_err(|e| ConfigError::AlgorithmSetup {
+            algorithm: self.name(),
+            reason: format!("opening client store: {e}"),
+        })?;
         Ok(())
     }
 
@@ -146,58 +145,21 @@ impl FedAlgorithm for Scaffold {
     }
 
     fn state(&self) -> Result<AlgorithmState, EngineError> {
-        let n = self.store.n_clients();
-        let dim = self.c.len();
-        let base = AlgorithmState::new(self.name(), 1)
+        let mut s = AlgorithmState::new(self.name(), STATE_VERSION)
             .with_model("global", self.global.state.clone())
-            .with_tensor("c", vec![dim], self.c.clone());
-        if self.store.is_sharded() {
-            // Per-client variates already live in the spill directory
-            // (write-through commits); the checkpoint carries only the
-            // population size so restore can refuse a mismatched spill.
-            Ok(base.with_scalar("sharded_clients", n as f64))
-        } else {
-            let mut flat = Vec::with_capacity(n * dim);
-            for k in 0..n {
-                let blob = self.store.read(k, |_| zero_variate(dim))?;
-                let t = blob.tensor("c").ok_or(StoreError::Corrupt {
-                    client: k,
-                    detail: "missing control-variate tensor `c`".into(),
-                })?;
-                flat.extend_from_slice(&t.values);
-            }
-            Ok(base.with_tensor("c_clients", vec![n, dim], flat))
-        }
+            .with_tensor("c", vec![self.c.len()], self.c.clone());
+        self.store.write_population(&mut s);
+        Ok(s)
     }
 
     fn restore(&mut self, state: &AlgorithmState) -> Result<(), RestoreError> {
-        state.expect_header(&self.name(), 1)?;
+        state.expect_header(&self.name(), STATE_VERSION)?;
         let incoming = state.model("global")?;
         check_model_layout("global", incoming, &self.global.state)?;
         let dim = self.c.len();
         let c = state.tensor("c")?;
         check_tensor_dims("c", c, &[dim])?;
-        // init() has already built the store for this context, so the
-        // client count is known and enforceable here.
-        let n = self.store.n_clients();
-        if self.store.is_sharded() {
-            let recorded = state.scalar("sharded_clients")?;
-            if recorded != n as f64 {
-                return Err(RestoreError::ShapeMismatch {
-                    name: "sharded_clients".into(),
-                    detail: format!("checkpoint covers {recorded} clients, store has {n}"),
-                });
-            }
-        } else {
-            let cc = state.tensor("c_clients")?;
-            check_tensor_dims("c_clients", cc, &[n, dim])?;
-            for k in 0..n {
-                let ck = cc.values[k * dim..(k + 1) * dim].to_vec();
-                self.store
-                    .commit(k, ClientBlob::new().with_tensor("c", vec![dim], ck))
-                    .map_err(|e| RestoreError::Store { detail: e.to_string() })?;
-            }
-        }
+        self.store.restore_population(state, |_| zero_variate(dim))?;
         self.global.state = incoming.clone();
         self.c = c.values.clone();
         Ok(())
@@ -433,6 +395,34 @@ mod tests {
         let hs = run(&mut sharded, &mk());
         assert_eq!(hm.records, hs.records, "spilling variates must not change a bit");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn version_one_state_is_refused_and_a_bad_client_commits_nothing() {
+        let c = ctx(46);
+        let spec = ModelSpec::scaled(Arch::Cnn2, 1, 12, 10, 0);
+        let mut trained = Scaffold::new(spec);
+        let _ = run(&mut trained, &c);
+        let good = trained.state().unwrap();
+        let mut fresh = Scaffold::new(spec);
+        fresh.init(&c).unwrap();
+        let before = fresh.state().unwrap();
+        // The layout before the population section (per-client variates
+        // in one flat `c_clients` tensor) was version 1.
+        let mut v1 = good.clone();
+        v1.version = 1;
+        assert!(matches!(
+            fresh.restore(&v1),
+            Err(RestoreError::UnsupportedVersion { expected: 2, found: 1, .. })
+        ));
+        // One client with a variate of the wrong length: clients 0..3
+        // are valid, and still nothing may commit.
+        let mut bad = good.clone();
+        bad.tensors.iter_mut().find(|(n, _)| n == "client.3.c").unwrap().1.dims = vec![1];
+        assert!(matches!(fresh.restore(&bad), Err(RestoreError::ShapeMismatch { .. })));
+        assert_eq!(fresh.state().unwrap(), before, "a refused restore moved state");
+        fresh.restore(&good).unwrap();
+        assert_eq!(fresh.state().unwrap(), good);
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub struct AlgorithmState {
     /// Algorithm-specific state-format version; bumped when an
     /// algorithm's entry set changes incompatibly.
     pub version: u32,
-    /// Named model states (`"global"`, `"knowledge"`, `"local.3"`, ...).
+    /// Named model states (`"global"`, `"knowledge"`, `"client.3.model"`, ...).
     pub models: Vec<(String, ModelState)>,
     /// Named flat tensors.
     pub tensors: Vec<(String, TensorBlob)>,
@@ -79,12 +79,6 @@ pub enum RestoreError {
         /// What differed.
         detail: String,
     },
-    /// Writing restored per-client state back through the client-state
-    /// store failed (e.g. a spill-directory I/O error mid-restore).
-    Store {
-        /// The underlying store failure.
-        detail: String,
-    },
 }
 
 impl fmt::Display for RestoreError {
@@ -100,9 +94,6 @@ impl fmt::Display for RestoreError {
             RestoreError::MissingEntry { name } => write!(f, "state entry `{name}` is missing"),
             RestoreError::ShapeMismatch { name, detail } => {
                 write!(f, "state entry `{name}` has a mismatched shape: {detail}")
-            }
-            RestoreError::Store { detail } => {
-                write!(f, "restoring client state through the store failed: {detail}")
             }
         }
     }

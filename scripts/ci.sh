@@ -4,8 +4,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
-cargo test -q
-# Every crate's tests, not just the root package's: the kemf-fl units
+# Every crate's tests, the root package's included: the kemf-fl units
 # (cohort-batch bit-identity, corrupt-checkpoint errors), the
 # zero-allocation test and the SIMD-tier proptests live in member crates.
 cargo test --workspace -q
@@ -33,10 +32,8 @@ cargo run --release -p kemf-bench --bin bench_async -- --smoke
 
 # Native-tuned build: the runtime SIMD dispatch must not conflict with
 # target-cpu=native codegen (the autovectorizer emitting wider ops around
-# the explicit kernels). Build and run the fast test suite in a separate
-# target dir so the default cache stays warm.
-RUSTFLAGS="-C target-cpu=native" CARGO_TARGET_DIR=target/native \
-    cargo test -q --release
+# the explicit kernels). Build and run the whole test suite in a
+# separate target dir so the default cache stays warm.
 RUSTFLAGS="-C target-cpu=native" CARGO_TARGET_DIR=target/native \
     cargo test --workspace -q --release
 

@@ -48,7 +48,7 @@ fn all_algorithms(ctx: &FlContext, task: &SynthTask) -> Vec<Box<dyn FedAlgorithm
         Box::new(FedNova::new(spec)),
         Box::new(Scaffold::new(spec)),
         Box::new(FedDf::new(spec, pool.clone())),
-        Box::new(FedMd::new(clients.clone(), pool.clone(), 10, FedMdConfig::default())),
+        Box::new(FedMd::new(clients.clone(), pool.clone(), 10)),
         Box::new(FedKemf::new(FedKemfConfig::uniform(knowledge, clients.clone(), pool.clone()))),
         Box::new(FedRolex::new(FedRolexConfig { server_spec: wide_mlp, client_width: 8 })),
         Box::new(FedGems::new(clients, big_server, pool, 10, FedGemsConfig::default())),

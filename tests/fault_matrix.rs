@@ -265,7 +265,6 @@ fn all_algorithms_survive_combined_faults() {
                 clients.clone(),
                 task.generate_unlabeled(40, 2),
                 10,
-                FedMdConfig::default(),
             )),
             Box::new(FedKemf::new(FedKemfConfig::uniform(
                 knowledge,
